@@ -16,7 +16,7 @@ const nKeys = 400
 
 func openDB(t *testing.T, scheme core.Scheme, store *ckpt.Store) (*core.Database, *core.Table) {
 	t.Helper()
-	cfg := core.Config{Scheme: scheme, SyncCommit: true}
+	cfg := core.Config{Scheme: scheme, Durability: core.DurabilityFlush}
 	if store != nil {
 		cfg.LogSink = store
 	}

@@ -107,10 +107,6 @@ type Config struct {
 	// DurabilityAsync). DurabilityFsync requires a sink implementing
 	// wal.Syncer (ckpt.Store, *os.File); otherwise it behaves as Flush.
 	Durability Durability
-	// SyncCommit makes commits wait for their log batch to be flushed.
-	// Legacy equivalent of DurabilityFlush, honored when Durability is left
-	// at the default.
-	SyncCommit bool
 	// LogBatch is the group-commit batch size (default 256).
 	LogBatch int
 	// LockTimeout bounds 1V lock waits (deadlock breaking); default 25ms.
@@ -158,10 +154,9 @@ func Open(cfg Config) (*Database, error) {
 	db := &Database{cfg: cfg}
 	if cfg.LogSink != nil {
 		db.log = wal.Open(wal.Config{
-			Sink:        cfg.LogSink,
-			Durability:  cfg.Durability,
-			Synchronous: cfg.SyncCommit,
-			BatchSize:   cfg.LogBatch,
+			Sink:       cfg.LogSink,
+			Durability: cfg.Durability,
+			BatchSize:  cfg.LogBatch,
 		})
 	}
 	switch cfg.Scheme {

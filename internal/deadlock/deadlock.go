@@ -23,6 +23,12 @@ func NewGraph() *Graph {
 	return &Graph{Edges: make(map[uint64][]uint64)}
 }
 
+// Reset empties the graph for the next detection pass, keeping its storage.
+func (g *Graph) Reset() {
+	g.Nodes = g.Nodes[:0]
+	clear(g.Edges)
+}
+
 // AddNode registers a blocked transaction.
 func (g *Graph) AddNode(id uint64) {
 	if _, ok := g.Edges[id]; !ok {

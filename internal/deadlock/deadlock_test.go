@@ -144,7 +144,16 @@ type fakeSource struct {
 	aborted []uint64
 }
 
-func (f *fakeSource) Snapshot() *Graph            { return f.graph }
+func (f *fakeSource) Snapshot(g *Graph) {
+	for _, id := range f.graph.Nodes {
+		g.AddNode(id)
+	}
+	for from, tos := range f.graph.Edges {
+		for _, to := range tos {
+			g.AddEdge(from, to)
+		}
+	}
+}
 func (f *fakeSource) StillBlocked(id uint64) bool { return f.blocked[id] }
 func (f *fakeSource) EndTimestampOf(id uint64) uint64 {
 	return f.ends[id]

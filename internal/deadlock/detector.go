@@ -8,11 +8,12 @@ import (
 // Source provides the detector's view of the running system. The engine
 // implements it; the indirection keeps this package free of engine types.
 type Source interface {
-	// Snapshot builds the current wait-for graph: nodes are transactions
-	// that have completed normal processing and are blocked on wait-for
-	// dependencies; edges come from explicit WaitingTxnLists and implicit
-	// read-lock dependencies.
-	Snapshot() *Graph
+	// Snapshot fills the empty graph g with the current wait-for graph:
+	// nodes are transactions that have completed normal processing and are
+	// blocked on wait-for dependencies; edges come from explicit
+	// WaitingTxnLists and implicit read-lock dependencies. It is never
+	// called concurrently with itself.
+	Snapshot(g *Graph)
 	// StillBlocked re-verifies that a transaction remains blocked. The graph
 	// is built while processing continues, so a candidate cycle may contain
 	// transactions that have since unblocked (a false deadlock).
@@ -31,6 +32,13 @@ type Detector struct {
 	src      Source
 	interval time.Duration
 
+	// runMu serializes passes (the background sweep and RunOnce callers), so
+	// one graph — and whatever scratch the source keeps — is reused by every
+	// pass: the sweep runs every few milliseconds and almost always finds
+	// nothing blocked, and must not allocate to find that out.
+	runMu sync.Mutex
+	g     *Graph
+
 	mu      sync.Mutex
 	stop    chan struct{}
 	done    chan struct{}
@@ -42,7 +50,7 @@ func NewDetector(src Source, interval time.Duration) *Detector {
 	if interval <= 0 {
 		interval = 5 * time.Millisecond
 	}
-	return &Detector{src: src, interval: interval}
+	return &Detector{src: src, interval: interval, g: NewGraph()}
 }
 
 // Start launches the background sweep. It is a no-op if already running.
@@ -99,7 +107,11 @@ func (d *Detector) loop(stop, done chan struct{}) {
 // aborted. Exported so tests and cooperative callers can drive detection
 // synchronously.
 func (d *Detector) RunOnce() int {
-	g := d.src.Snapshot()
+	d.runMu.Lock()
+	defer d.runMu.Unlock()
+	g := d.g
+	g.Reset()
+	d.src.Snapshot(g)
 	if len(g.Nodes) < 1 {
 		return 0
 	}

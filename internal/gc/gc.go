@@ -148,17 +148,20 @@ func (c *Collector) Collect(limit int) int {
 	examined := 0
 	for i := range c.shards {
 		s := &c.shards[i]
+		// Take the shard's queue and work on it with the lock released:
+		// Unlink latches buckets and walks skip-list towers, and a committer
+		// whose Retire lands on this shard meanwhile would park behind all
+		// of it — a thread sleep and wake-up on the commit path.
 		s.mu.Lock()
 		q := s.q
+		s.q = nil
+		s.mu.Unlock()
 		var keep []retired
 		for len(q) > 0 && examined < limit {
 			r := q[0]
 			q = q[1:]
 			examined++
 			if r.v.IsGarbage(wm) {
-				// Unlink outside the shard lock would be nicer, but unlink
-				// latches individual buckets, so the critical section stays
-				// short either way.
 				if r.table.Unlink(r.v) {
 					reclaimed++
 					if c.free != nil {
@@ -172,8 +175,12 @@ func (c *Collector) Collect(limit int) int {
 				keep = append(keep, r)
 			}
 		}
-		s.q = append(keep, q...)
-		s.mu.Unlock()
+		// Requeue what survived ahead of whatever was retired meanwhile.
+		if keep = append(keep, q...); len(keep) > 0 {
+			s.mu.Lock()
+			s.q = append(keep, s.q...)
+			s.mu.Unlock()
+		}
 		if examined >= limit {
 			break
 		}
@@ -182,7 +189,8 @@ func (c *Collector) Collect(limit int) int {
 	return reclaimed
 }
 
-// Pending returns the number of versions awaiting collection.
+// Pending returns the number of versions awaiting collection, not counting
+// the ones a concurrent Collect is examining at this moment.
 func (c *Collector) Pending() int {
 	n := 0
 	for i := range c.shards {

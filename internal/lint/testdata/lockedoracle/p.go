@@ -116,3 +116,38 @@ func (e *engine) spawns() {
 func (e *engine) drainLocked() {
 	runtime.Gosched() // want "runtime.Gosched inside a mutex-locked region"
 }
+
+type stagingLog struct {
+	mu   sync.Mutex
+	kick chan struct{}
+	recs int
+}
+
+// kickUnderLock reconstructs the staging-batch WAL hazard: the appender
+// whose record makes the batch due wakes the flusher while still holding the
+// log mutex. Even a non-blocking send is a scheduling point, and the flusher
+// it readies needs that very mutex to swap the batch out.
+func (l *stagingLog) kickUnderLock() {
+	l.mu.Lock()
+	l.recs++
+	select { // want "select .channel wait. inside a mutex-locked region"
+	case l.kick <- struct{}{}:
+	default:
+	}
+	l.mu.Unlock()
+}
+
+// kickAfterUnlock is the form wal.Log.Append uses: decide under the mutex,
+// kick after releasing it.
+func (l *stagingLog) kickAfterUnlock() {
+	l.mu.Lock()
+	l.recs++
+	due := l.recs == 1
+	l.mu.Unlock()
+	if due {
+		select {
+		case l.kick <- struct{}{}:
+		default:
+		}
+	}
+}

@@ -7,7 +7,12 @@ import (
 )
 
 // detectorSource adapts the engine to the deadlock detector (Section 4.4).
-type detectorSource Engine
+// The detector serializes its passes, so the scratch slice is reused by
+// every one of them.
+type detectorSource struct {
+	e       *Engine
+	blocked []*txn.Txn
+}
 
 // Snapshot builds the wait-for graph in the paper's three steps: nodes for
 // transactions blocked on wait-for dependencies, explicit edges from
@@ -25,29 +30,24 @@ type detectorSource Engine
 // prevented by RunOnce's StillBlocked recheck), but the pin removes the
 // window entirely. If the pin table is full the walk proceeds unpinned,
 // degrading to the old benign behavior.
-func (s *detectorSource) Snapshot() *deadlock.Graph {
-	e := (*Engine)(s)
-	g := deadlock.NewGraph()
-
+func (s *detectorSource) Snapshot(g *deadlock.Graph) {
+	e := s.e
 	if slot := e.pins.Acquire(e.oracle.Current()); slot >= 0 {
 		defer e.pins.Release(slot)
 	}
 
-	var txs []*txn.Txn
-	e.txns.ForEach(func(t *txn.Txn) { txs = append(txs, t) })
-
 	// Step 1: nodes are transactions that completed normal processing and
-	// are blocked by wait-for dependencies.
-	for _, t := range txs {
+	// are blocked by wait-for dependencies. Usually there are none, and the
+	// pass ends here having allocated nothing.
+	blocked := s.blocked[:0]
+	e.txns.ForEach(func(t *txn.Txn) {
 		if t.Blocked() {
+			blocked = append(blocked, t)
 			g.AddNode(t.ID())
 		}
-	}
+	})
 
-	for _, t := range txs {
-		if !g.Contains(t.ID()) {
-			continue
-		}
+	for _, t := range blocked {
 		// Step 2: explicit dependencies. Every transaction in t's
 		// WaitingTxnList waits for t.
 		for _, wid := range t.Waiters() {
@@ -67,12 +67,13 @@ func (s *detectorSource) Snapshot() *deadlock.Graph {
 			}
 		}
 	}
-	return g
+	clear(blocked) // Txns are pooled: keep no pointer to one between passes
+	s.blocked = blocked[:0]
 }
 
 // StillBlocked re-verifies that a cycle participant is really still blocked.
 func (s *detectorSource) StillBlocked(id uint64) bool {
-	e := (*Engine)(s)
+	e := s.e
 	t, ok := e.txns.Lookup(id)
 	return ok && t.Blocked()
 }
@@ -82,7 +83,7 @@ func (s *detectorSource) StillBlocked(id uint64) bool {
 // blocked on wait-fors never have an end timestamp yet, and IDs preserve the
 // same age order.
 func (s *detectorSource) EndTimestampOf(id uint64) uint64 {
-	e := (*Engine)(s)
+	e := s.e
 	t, ok := e.txns.Lookup(id)
 	if !ok {
 		return 0
@@ -95,7 +96,7 @@ func (s *detectorSource) EndTimestampOf(id uint64) uint64 {
 
 // Abort asks a deadlock victim to abort; its wait loop observes AbortNow.
 func (s *detectorSource) Abort(id uint64) {
-	e := (*Engine)(s)
+	e := s.e
 	if t, ok := e.txns.Lookup(id); ok {
 		t.RequestAbort()
 	}

@@ -217,3 +217,37 @@ func TestNoFalseDeadlock(t *testing.T) {
 		t.Fatalf("false deadlock: %d victims", e.Stats().DeadlockVictims)
 	}
 }
+
+// The detector sweeps every couple of milliseconds and almost never finds a
+// blocked transaction; such a pass must allocate nothing, whether the
+// transaction table is empty or holds running (unblocked) transactions —
+// otherwise allocations per transaction depend on the transaction rate.
+func TestIdleDetectorPassAllocatesNothing(t *testing.T) {
+	e := NewEngine(Config{DeadlockInterval: -1})
+	t.Cleanup(func() { e.Close() })
+	tbl, err := e.CreateTable(storage.TableSpec{
+		Name:    "t",
+		Indexes: []storage.IndexSpec{{Name: "pk", Key: payloadKey, Buckets: 1 << 10}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := func() {
+		if n := e.DetectDeadlocks(); n != 0 {
+			t.Errorf("victims = %d on an engine with nothing blocked", n)
+		}
+	}
+	if a := testing.AllocsPerRun(100, pass); a != 0 {
+		t.Fatalf("pass over an empty transaction table: %v allocs", a)
+	}
+	for i := uint64(1); i <= 4; i++ {
+		tx := e.Begin(Pessimistic, Serializable)
+		if err := tx.Insert(tbl, testPayload(i, i)); err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Abort()
+	}
+	if a := testing.AllocsPerRun(100, pass); a != 0 {
+		t.Fatalf("pass over running transactions: %v allocs", a)
+	}
+}

@@ -233,8 +233,8 @@ func NewEngine(cfg Config) *Engine {
 	if interval == 0 {
 		interval = 2 * time.Millisecond
 	}
+	e.det = deadlock.NewDetector(&detectorSource{e: e}, interval)
 	if interval > 0 {
-		e.det = deadlock.NewDetector((*detectorSource)(e), interval)
 		e.det.Start()
 	}
 	return e
@@ -269,9 +269,7 @@ func (e *Engine) Degraded() error {
 
 // Close stops background workers and closes the log if one was attached.
 func (e *Engine) Close() error {
-	if e.det != nil {
-		e.det.Stop()
-	}
+	e.det.Stop()
 	if e.cfg.Log != nil {
 		return e.cfg.Log.Close()
 	}
@@ -347,9 +345,7 @@ func (e *Engine) Stats() Stats {
 		IndexNodesSwept:  e.nodesSwept.Load(),
 		IndexNodesFreed:  e.nodesFreed.Load(),
 	}
-	if e.det != nil {
-		s.DeadlockVictims = e.det.Victims()
-	}
+	s.DeadlockVictims = e.det.Victims()
 	return s
 }
 
@@ -578,8 +574,4 @@ func (e *Engine) CollectGarbage(limit int) int { return e.collect(limit) }
 // DetectDeadlocks runs one synchronous deadlock detection pass; it returns
 // the number of victims aborted. Useful when the background detector is
 // disabled.
-func (e *Engine) DetectDeadlocks() int {
-	src := (*detectorSource)(e)
-	d := deadlock.NewDetector(src, time.Hour)
-	return d.RunOnce()
-}
+func (e *Engine) DetectDeadlocks() int { return e.det.RunOnce() }

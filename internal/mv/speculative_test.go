@@ -45,7 +45,7 @@ func (g *gateWriter) Release() {
 
 func TestSpeculativeReadOfPreparingVersion(t *testing.T) {
 	gate := newGateWriter()
-	log := wal.Open(wal.Config{Sink: gate, Synchronous: true, BatchSize: 1})
+	log := wal.Open(wal.Config{Sink: gate, Durability: wal.Flush, BatchSize: 1})
 	e := NewEngine(Config{DeadlockInterval: -1, Log: log})
 	t.Cleanup(func() {
 		gate.Release()
@@ -115,7 +115,7 @@ func TestSpeculativeIgnoreOldVersion(t *testing.T) {
 	// dependency, because the old version is visible whether or not the
 	// writer commits (Table 2: TS > RT).
 	gate := newGateWriter()
-	log := wal.Open(wal.Config{Sink: gate, Synchronous: true, BatchSize: 1})
+	log := wal.Open(wal.Config{Sink: gate, Durability: wal.Flush, BatchSize: 1})
 	e := NewEngine(Config{DeadlockInterval: -1, Log: log})
 	t.Cleanup(func() {
 		gate.Release()

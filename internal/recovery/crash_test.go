@@ -88,7 +88,7 @@ func runCrashScenario(t *testing.T, scheme core.Scheme, fault string) {
 	db, err := core.Open(core.Config{
 		Scheme:      scheme,
 		LogSink:     store,
-		SyncCommit:  true,
+		Durability:  core.DurabilityFlush,
 		LockTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {

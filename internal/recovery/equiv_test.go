@@ -56,7 +56,7 @@ func buildWorkloadStore(t *testing.T, dir string, keepLog bool) (*core.Database,
 	db, err := core.Open(core.Config{
 		Scheme:      core.MVOptimistic,
 		LogSink:     store,
-		SyncCommit:  true,
+		Durability:  core.DurabilityFlush,
 		LockTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {

@@ -298,7 +298,7 @@ func TestOracleAdvancedPastRecoveredTimestamps(t *testing.T) {
 func TestAuditDetectsDuplicates(t *testing.T) {
 	rec := &wal.Record{TxID: 1, EndTS: 7, Ops: []wal.Entry{{Table: "t", Op: wal.OpInsert, Key: 1, Payload: pay(1, 1)}}}
 	var buf bytes.Buffer
-	l := wal.Open(wal.Config{Sink: &buf, Synchronous: true, BatchSize: 1})
+	l := wal.Open(wal.Config{Sink: &buf, Durability: wal.Flush, BatchSize: 1})
 	if err := l.Append(rec); err != nil {
 		t.Fatal(err)
 	}

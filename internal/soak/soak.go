@@ -574,7 +574,7 @@ func (e *episode) runFaulted() (EpisodeResult, error) {
 	db, err := core.Open(core.Config{
 		Scheme:      e.cfg.Scheme,
 		LogSink:     store,
-		SyncCommit:  true,
+		Durability:  core.DurabilityFlush,
 		LockTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {

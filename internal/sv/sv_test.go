@@ -373,3 +373,88 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 	}
 	tx.Commit()
 }
+
+// A transaction holding more locks than heldScanMax finds its entries
+// through the map index: re-locking and upgrading early and late keys must
+// land on the existing entries, and commit must release every one of them.
+func TestHeldLockIndexPastScanLimit(t *testing.T) {
+	e, tbl := newTestEngine(t, 20*time.Millisecond)
+	const n = 4 * heldScanMax
+	load := e.Begin(iso.ReadCommitted)
+	for k := uint64(0); k < n; k++ {
+		if err := load.Insert(tbl, testPayload(k, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := load.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	tx := e.Begin(iso.RepeatableRead)
+	for round := 0; round < 2; round++ {
+		for k := uint64(0); k < n; k++ {
+			if v, ok := readVal(t, tx, tbl, k); !ok || v != k {
+				t.Fatalf("read %d = %d,%v", k, v, ok)
+			}
+		}
+	}
+	if len(tx.held) > n || tx.heldIdx == nil {
+		t.Fatalf("held=%d entries (index built: %v) for %d distinct keys", len(tx.held), tx.heldIdx != nil, n)
+	}
+	for _, k := range []uint64{0, heldScanMax, n - 1} {
+		if _, err := tx.UpdateWhere(tbl, 0, k, nil, func(old []byte) []byte { return testPayload(k, k+1000) }); err != nil {
+			t.Fatalf("upgrade %d: %v", k, err)
+		}
+	}
+	if len(tx.held) > n {
+		t.Fatalf("upgrades added entries: held=%d", len(tx.held))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	after := e.Begin(iso.RepeatableRead)
+	for k := uint64(0); k < n; k++ {
+		if _, err := after.UpdateWhere(tbl, 0, k, nil, func(old []byte) []byte { return old }); err != nil {
+			t.Fatalf("key %d still locked after commit: %v", k, err)
+		}
+	}
+	if v, _ := readVal(t, after, tbl, heldScanMax); v != heldScanMax+1000 {
+		t.Fatalf("upgraded write lost: %d", v)
+	}
+	if err := after.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A 1V capture S-locks every hash bucket and holds them to the end; with a
+// linear held-lock lookup that was quadratic in buckets (over four minutes
+// at 1 M). It must be seconds.
+func TestCaptureLinearInBuckets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates a 1 M-bucket index")
+	}
+	e := NewEngine(Config{})
+	tbl, err := e.CreateTable(storage.TableSpec{
+		Name:    "t",
+		Indexes: []storage.IndexSpec{{Name: "pk", Key: payloadKey, Buckets: 1 << 20}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 1000
+	for k := uint64(0); k < rows; k++ {
+		e.LoadRow(tbl, testPayload(k, k))
+	}
+	start := time.Now()
+	got := 0
+	if _, err := e.Capture([]*Table{tbl}, func(*Table, uint64, []byte) error { got++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got != rows {
+		t.Fatalf("captured %d rows, want %d", got, rows)
+	}
+	if d := time.Since(start); d > 20*time.Second {
+		t.Fatalf("capture over 1 M buckets took %v", d)
+	}
+}

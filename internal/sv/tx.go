@@ -60,29 +60,30 @@ type undoRec struct {
 type Tx struct {
 	e    *Engine
 	id   uint64
-	iso  iso.Level
 	done bool
+	// short marks read committed: read locks are released when the read
+	// ends (cursor stability) instead of being held to commit.
+	short bool
 	// readOnly marks a fast-lane reader from BeginReadOnly: it drew no
 	// transaction ID (id 0 — shared locks carry no owner identity, so none
 	// is needed), draws no end sequence at commit, and rejects mutations.
 	readOnly bool
 
 	held       []heldLock
+	heldIdx    map[*keyLock]int // index into held, built once held outgrows heldScanMax
 	heldRanges []rangeHold
 	undo       []undoRec
 	writes     []wal.Entry
 }
 
 // Begin starts a transaction. Snapshot isolation is not expressible in a
-// single-version engine; it is upgraded to repeatable read.
+// single-version engine; it is upgraded to repeatable read, which like
+// serializable holds every read lock to commit.
 func (e *Engine) Begin(level iso.Level) *Tx {
-	if level == iso.SnapshotIsolation {
-		level = iso.RepeatableRead
-	}
 	return &Tx{
-		e:   e,
-		id:  e.txSeq.Add(1),
-		iso: level,
+		e:     e,
+		id:    e.txSeq.Add(1),
+		short: level == iso.ReadCommitted,
 	}
 }
 
@@ -100,20 +101,43 @@ func (e *Engine) Begin(level iso.Level) *Tx {
 // two shared counters, not the locks.
 func (e *Engine) BeginReadOnly() *Tx {
 	e.roBegins.Add(1)
-	return &Tx{e: e, iso: iso.RepeatableRead, readOnly: true}
+	return &Tx{e: e, readOnly: true}
 }
 
 // ReadOnly reports whether the transaction is a fast-lane reader.
 func (tx *Tx) ReadOnly() bool { return tx.readOnly }
 
+// heldScanMax is how many held locks registered looks up by scanning: a
+// short transaction re-locks what it touched last (read, then update), and a
+// dozen pointer compares beat a map. Past it the lookup goes through heldIdx,
+// so a transaction holding n locks costs O(n), not O(n^2) — a 1V checkpoint
+// capture holds one per hash bucket.
+const heldScanMax = 16
+
+// registered returns tx's entry for l, adding an empty one if tx does not
+// hold l yet. The pointer is valid until the next call.
 func (tx *Tx) registered(l *keyLock) *heldLock {
-	for i := range tx.held {
-		if tx.held[i].l == l {
+	n := len(tx.held)
+	if n <= heldScanMax {
+		for i := n - 1; i >= 0; i-- {
+			if tx.held[i].l == l {
+				return &tx.held[i]
+			}
+		}
+	} else {
+		if tx.heldIdx == nil {
+			tx.heldIdx = make(map[*keyLock]int, 2*n)
+			for i := range tx.held {
+				tx.heldIdx[tx.held[i].l] = i
+			}
+		}
+		if i, ok := tx.heldIdx[l]; ok {
 			return &tx.held[i]
 		}
+		tx.heldIdx[l] = n
 	}
 	tx.held = append(tx.held, heldLock{l: l})
-	return &tx.held[len(tx.held)-1]
+	return &tx.held[n]
 }
 
 // lockS acquires and registers a shared lock held to commit.
@@ -129,12 +153,12 @@ func (tx *Tx) lockS(l *keyLock) error {
 // lockX acquires and registers an exclusive lock held to commit. A
 // transaction that already holds shared locks on the same key upgrades.
 func (tx *Tx) lockX(l *keyLock) error {
-	heldS := tx.registered(l).s
-	if err := l.acquireX(tx.id, heldS, tx.e.cfg.LockTimeout); err != nil {
+	h := tx.registered(l)
+	if err := l.acquireX(tx.id, h.s, tx.e.cfg.LockTimeout); err != nil {
 		tx.e.timeouts.Add(1)
 		return err
 	}
-	tx.registered(l).x++
+	h.x++
 	return nil
 }
 
@@ -153,7 +177,8 @@ func (tx *Tx) releaseAll() {
 		h := &tx.held[i]
 		h.l.releaseBulk(tx.id, h.s, h.x > 0)
 	}
-	tx.held = nil
+	tx.held = tx.held[:0]
+	tx.heldIdx = nil
 	for i := range tx.heldRanges {
 		h := &tx.heldRanges[i]
 		h.m.release(h.lo, h.hi, tx.id, h.excl)
@@ -173,7 +198,7 @@ func (tx *Tx) Scan(t *Table, indexOrd int, key uint64, pred Pred, fn func(*Recor
 	if tx.done {
 		return ErrTxDone
 	}
-	short := tx.iso == iso.ReadCommitted
+	short := tx.short
 	if ix := t.hashIxs[indexOrd]; ix != nil {
 		b := ix.bucket(key)
 		l := &b.lock
@@ -248,7 +273,7 @@ func (tx *Tx) ScanRange(t *Table, indexOrd int, lo, hi uint64, pred Pred, fn fun
 	if lo > hi {
 		return nil
 	}
-	short := tx.iso == iso.ReadCommitted
+	short := tx.short
 	if short {
 		if err := ix.rl.acquire(lo, hi, tx.id, false, tx.e.cfg.LockTimeout); err != nil {
 			tx.e.timeouts.Add(1)

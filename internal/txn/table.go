@@ -144,20 +144,17 @@ func (tt *Table) OldestBegin(fallback uint64) uint64 {
 }
 
 // ForEach calls fn for every registered transaction. It is used by the
-// deadlock detector to enumerate blocked transactions. fn must not call back
-// into the table's locking methods for the same shard.
+// deadlock detector to enumerate blocked transactions. fn runs under the
+// shard's read lock (so a pass over an idle table allocates nothing) and
+// must not call back into the table.
 func (tt *Table) ForEach(fn func(*Txn)) {
 	for i := range tt.shards {
 		s := &tt.shards[i]
 		s.mu.RLock()
-		txns := make([]*Txn, 0, len(s.m))
 		for _, t := range s.m {
-			txns = append(txns, t)
-		}
-		s.mu.RUnlock()
-		for _, t := range txns {
 			fn(t)
 		}
+		s.mu.RUnlock()
 	}
 }
 

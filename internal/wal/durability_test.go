@@ -6,6 +6,7 @@ package wal
 // and the Append/Close race regression.
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -14,12 +15,16 @@ import (
 )
 
 // syncSink is an in-memory sink that separates written from synced bytes
-// and can fail its Sync exactly once.
+// and remembers where every record frame ends, so a test can ask whether a
+// given record is below the sync barrier. It can fail its Sync exactly once,
+// and a Sync can be made to take time so committers pile up behind it.
 type syncSink struct {
+	delay    time.Duration
 	mu       sync.Mutex
 	written  int
 	synced   int
 	syncs    int
+	ends     map[uint64]int // TxID -> offset one past the record's last byte
 	failNext bool
 	err      error
 }
@@ -27,11 +32,28 @@ type syncSink struct {
 func (s *syncSink) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.ends == nil {
+		s.ends = make(map[uint64]int)
+	}
+	for off := 0; off < len(p); {
+		txid := binary.LittleEndian.Uint64(p[off+8:]) // length, crc, then TxID
+		off += 4 + int(binary.LittleEndian.Uint32(p[off:]))
+		s.ends[txid] = s.written + off
+	}
 	s.written += len(p)
 	return len(p), nil
 }
 
+// durable reports whether txid's record lies wholly below the sync barrier.
+func (s *syncSink) durable(txid uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	end, ok := s.ends[txid]
+	return ok && end <= s.synced
+}
+
 func (s *syncSink) Sync() error {
+	time.Sleep(s.delay)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.syncs++
@@ -51,7 +73,7 @@ func (s *syncSink) counts() (written, synced, syncs int) {
 
 func TestFsyncDurabilityAcks(t *testing.T) {
 	sink := &syncSink{}
-	l := Open(Config{Sink: sink, Durability: Fsync, BatchSize: 8, FlushInterval: time.Hour})
+	l := Open(Config{Sink: sink, Durability: Fsync, BatchSize: 8})
 	var wg sync.WaitGroup
 	const n = 64
 	for i := uint64(1); i <= n; i++ {
@@ -64,9 +86,8 @@ func TestFsyncDurabilityAcks(t *testing.T) {
 			}
 			// The acknowledgement promise: at the instant Append returns,
 			// this record's bytes are at or below the sink's sync barrier.
-			written, synced, _ := sink.counts()
-			if synced == 0 || synced > written {
-				t.Errorf("acked with synced=%d written=%d", synced, written)
+			if !sink.durable(i) {
+				t.Errorf("record %d acked above the sync barrier", i)
 			}
 		}(i)
 	}

@@ -56,14 +56,6 @@ type Record struct {
 	Ops   []Entry
 }
 
-// chunk is one encoded record in flight to the flusher. Buffers are pooled:
-// encoding a record on the hot path allocates nothing in steady state.
-type chunk struct {
-	buf  []byte
-	done chan struct{} // closed when flushed (synchronous mode)
-	err  error         // this batch's outcome; valid once done is closed
-}
-
 // Durability selects what a commit acknowledgement promises: how far a
 // record has travelled when Append returns.
 type Durability int
@@ -111,15 +103,16 @@ type Config struct {
 	Sink io.Writer
 	// Durability selects the acknowledgement level (default Async).
 	Durability Durability
-	// Synchronous is the legacy name for Durability >= Flush; it is honored
-	// when Durability is left at Async.
-	Synchronous bool
-	// BatchSize is the maximum number of records per group-commit batch.
+	// BatchSize is the number of staged records at which a batch is flushed
+	// without waiting for the tick.
 	BatchSize int
-	// FlushInterval bounds how long a record may sit unflushed.
+	// FlushInterval is the flusher's tick: it bounds how long a record may
+	// sit unflushed, and at Flush/Fsync durability it is the group-commit
+	// window — every commit staged between two ticks shares one write and
+	// one fsync.
 	FlushInterval time.Duration
-	// BufferedRecords sizes the submission queue; Append blocks when full
-	// (natural backpressure at extreme rates).
+	// BufferedRecords bounds the staging batch; Append blocks while it is
+	// full (natural backpressure at extreme rates).
 	BufferedRecords int
 }
 
@@ -132,24 +125,29 @@ type LogStats struct {
 	Syncs    uint64 // per-batch sink fsyncs (Fsync durability only)
 }
 
-// Log is a group-commit redo log.
+// Log is a group-commit redo log built on one double-buffered staging batch:
+// appenders encode into the pending batch under mu while the flusher writes
+// the previous one, and a batch's outcome is published by sequence number.
 type Log struct {
-	cfg     Config
-	syncer  Syncer // cfg.Sink when it can fsync and cfg.Durability is Fsync
-	ch      chan *chunk
-	flush   chan chan struct{}
-	done    chan struct{}
-	bufPool sync.Pool
-	senders sync.WaitGroup // Appends between queue admission and channel send
+	cfg    Config
+	syncer Syncer        // cfg.Sink when it can fsync and cfg.Durability is Fsync
+	kick   chan struct{} // capacity 1: a token tells the flusher to look for a due batch
+	done   chan struct{} // closed when the flusher has exited
 
-	mu       sync.Mutex
-	closed   bool
-	err      error
-	appended uint64
-	flushed  uint64
-	batches  uint64
-	bytes    uint64
-	syncs    uint64
+	mu   sync.Mutex
+	cond sync.Cond // on mu: a full batch was swapped out, an outcome was published, or Close ran
+
+	pending []byte // the staging batch: encoded frames of recs records
+	spare   []byte // the other buffer; the flusher owns it while it writes
+	recs    int
+	forced  bool   // a Flush call has made pending due and kicked the flusher for it
+	seq     uint64 // sequence number of pending; batches count from 1
+	doneSeq uint64 // outcomes of all batches <= doneSeq are published
+	failSeq uint64 // first failed batch: it and every later one got err; 0 while err is nil
+
+	closed bool
+	err    error
+	stats  LogStats
 }
 
 // ErrClosed is returned by Append after Close.
@@ -163,30 +161,30 @@ var ErrDegraded = errors.New("engine degraded: log failure, read-only mode")
 
 // Open starts the log's flusher goroutine.
 func Open(cfg Config) *Log {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 256
-	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = time.Millisecond
-	}
 	if cfg.BufferedRecords <= 0 {
 		cfg.BufferedRecords = 1 << 14
 	}
-	if cfg.Durability == Async && cfg.Synchronous {
-		cfg.Durability = Flush
+	if cfg.BatchSize <= 0 {
+		cfg.BatchSize = 256
+	}
+	// A full staging batch must be a due one, or its appenders would sit
+	// out the tick.
+	cfg.BatchSize = min(cfg.BatchSize, cfg.BufferedRecords)
+	if cfg.FlushInterval <= 0 {
+		cfg.FlushInterval = time.Millisecond
 	}
 	l := &Log{
-		cfg:   cfg,
-		ch:    make(chan *chunk, cfg.BufferedRecords),
-		flush: make(chan chan struct{}),
-		done:  make(chan struct{}),
+		cfg:  cfg,
+		kick: make(chan struct{}, 1),
+		done: make(chan struct{}),
+		seq:  1,
 	}
+	l.cond.L = &l.mu
 	if cfg.Durability == Fsync {
 		if s, ok := cfg.Sink.(Syncer); ok {
 			l.syncer = s
 		}
 	}
-	l.bufPool.New = func() any { return new(chunk) }
 	go l.run()
 	return l
 }
@@ -194,17 +192,18 @@ func Open(cfg Config) *Log {
 // Append submits a record for group commit. The record is encoded before
 // Append returns, so the caller may immediately reuse the record and any
 // payload buffers it references. At Async durability Append returns as soon
-// as the encoded record is queued; at Flush it waits until the record's
+// as the encoded record is staged; at Flush it waits until the record's
 // batch has reached the sink; at Fsync it additionally waits for the batch's
 // fsync, so a nil return is a durable-commit promise.
+//
+//mvlint:noalloc
 func (l *Log) Append(r *Record) error {
-	c := l.bufPool.Get().(*chunk)
-	c.buf = EncodeRecord(c.buf[:0], r)
 	l.mu.Lock()
+	for l.recs >= l.cfg.BufferedRecords && !l.closed && l.err == nil {
+		l.cond.Wait()
+	}
 	if l.closed {
 		l.mu.Unlock()
-		c.done = nil
-		l.bufPool.Put(c)
 		return ErrClosed
 	}
 	if err := l.err; err != nil {
@@ -212,51 +211,68 @@ func (l *Log) Append(r *Record) error {
 		// further appends would be a lie. Surface the first flush error from
 		// every subsequent Append (commit paths treat this as an abort).
 		l.mu.Unlock()
-		c.done = nil
-		l.bufPool.Put(c)
 		return err
 	}
-	l.appended++
-	// The sender count is raised while closed is false, under mu; Close sets
-	// closed first and waits for this count before closing the channel, so
-	// the send below can never hit a closed channel.
-	l.senders.Add(1)
+	l.pending = EncodeRecord(l.pending, r)
+	l.recs++
+	l.stats.Appended++
+	// Wake the flusher once per BatchSize crossing, not once per record — with
+	// mu released, because the kick is a channel operation. The tick covers a
+	// batch that never gets there.
+	seq, due := l.seq, l.recs == l.cfg.BatchSize
 	l.mu.Unlock()
-	if l.cfg.Durability != Async {
-		c.done = make(chan struct{})
+	if due {
+		l.wake()
 	}
-	done := c.done
-	l.ch <- c
-	l.senders.Done()
-	if done != nil {
-		// The flusher hands the chunk back through the done close; the
-		// error on it is THIS batch's outcome, not the global latch — a
-		// record that was written and fsynced is acknowledged as durable
-		// even if a later batch has already failed by the time this
-		// goroutine wakes up. Reporting the global error here would abort
-		// a transaction whose record is durably in the log, and recovery
-		// would resurrect it behind the caller's back.
-		<-done
-		err := c.err
-		c.done, c.err = nil, nil
-		l.bufPool.Put(c)
-		return err
+	if l.cfg.Durability == Async {
+		return nil
+	}
+	return l.await(seq)
+}
+
+// Flush blocks until every record appended before the call has been written
+// to the sink (and fsynced, at Fsync durability). It does not wait for the
+// tick: the staged batch becomes due at once.
+func (l *Log) Flush() error {
+	l.mu.Lock()
+	seq, kick := l.seq-1, false // nothing staged: at most a batch in flight is outstanding
+	if l.recs > 0 {
+		seq, kick = l.seq, !l.forced
+		l.forced = true
+	}
+	l.mu.Unlock()
+	if kick {
+		l.wake()
+	}
+	return l.await(seq)
+}
+
+// await blocks until batch seq's outcome is published and returns it. The
+// outcome is THAT batch's, not the global latch: a record that was written
+// and fsynced is acknowledged as durable even if a later batch has already
+// failed by the time this goroutine wakes up. Reporting the latch there would
+// abort a transaction whose record is durably in the log, and recovery would
+// resurrect it behind the caller's back. The failed batch and every later one
+// (never handed to the sink) get the latched error.
+func (l *Log) await(seq uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.doneSeq < seq {
+		l.cond.Wait()
+	}
+	if l.failSeq != 0 && seq >= l.failSeq {
+		return l.err
 	}
 	return nil
 }
 
-// Flush blocks until every record appended before the call has been written
-// to the sink.
-func (l *Log) Flush() error {
-	ack := make(chan struct{})
+// wake leaves the flusher a token; one pending token is enough, since the
+// flusher re-reads the batch state under mu after taking it.
+func (l *Log) wake() {
 	select {
-	case l.flush <- ack:
-		<-ack
-	case <-l.done:
+	case l.kick <- struct{}{}:
+	default:
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
 }
 
 // Close flushes and stops the log.
@@ -267,29 +283,18 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	l.cond.Broadcast() // Appends blocked on a full batch
 	l.mu.Unlock()
-	// Appends that passed the closed check are still between queue admission
-	// and their channel send; wait them out before closing the channel (no
-	// new senders can start: closed is set).
-	l.senders.Wait()
-	close(l.ch)
+	l.wake()
 	<-l.done
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
+	return l.Err()
 }
 
 // Stats reports log activity counters.
 func (l *Log) Stats() LogStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return LogStats{
-		Appended: l.appended,
-		Flushed:  l.flushed,
-		Batches:  l.batches,
-		Bytes:    l.bytes,
-		Syncs:    l.syncs,
-	}
+	return l.stats
 }
 
 // Err returns the latched flusher error: the first sink write or fsync
@@ -301,102 +306,77 @@ func (l *Log) Err() error {
 	return l.err
 }
 
+// run is the flusher. A batch is due on the tick, when it has reached
+// BatchSize, when a Flush call asks for it, or when the log is closing —
+// the same at every durability level: a commit that waits for its batch
+// waits for the next tick, so under load the commit rate follows the clock
+// and not the device's fsync latency from one moment to the next. The tick
+// is a Ticker, not a timer re-armed after each flush: its cadence does not
+// stretch by the time a flush takes, and a tick that fires during a flush is
+// kept, so the batch staged meanwhile goes out as soon as the flusher is free.
 func (l *Log) run() {
 	defer close(l.done)
-	var batch []*chunk
-	var buf []byte
-	timer := time.NewTimer(l.cfg.FlushInterval)
-	defer timer.Stop()
-
-	flushBatch := func() {
-		if len(batch) == 0 {
+	ticker := time.NewTicker(l.cfg.FlushInterval)
+	defer ticker.Stop()
+	for {
+		tick := false
+		select {
+		case <-l.kick:
+		case <-ticker.C:
+			tick = true
+		}
+		l.mu.Lock()
+		for l.recs > 0 && (tick || l.forced || l.recs >= l.cfg.BatchSize || l.closed) {
+			tick = false
+			l.flushPending()
+		}
+		closed := l.closed
+		l.mu.Unlock()
+		if closed {
 			return
 		}
-		// Records were encoded at Append; concatenate the frames so the sink
-		// sees one write per group-commit batch, as before.
-		buf = buf[:0]
-		for _, c := range batch {
-			buf = append(buf, c.buf...)
-		}
-		l.mu.Lock()
-		err := l.err
-		l.mu.Unlock()
-		broken := err != nil
-		var synced bool
-		// Once any write or fsync has failed the log is dead: no further
-		// bytes go to the sink and — critically — no fsync is ever retried.
-		// After a failed fsync the kernel may have dropped the dirty pages
-		// and cleared the error (the fsyncgate semantics), so a later
-		// "successful" fsync would prove nothing about the lost bytes;
-		// retrying just converts data loss into silent data loss.
-		if !broken {
-			if l.cfg.Sink != nil {
-				_, err = l.cfg.Sink.Write(buf)
-			}
-			if err == nil && l.syncer != nil {
-				err = l.syncer.Sync()
-				synced = err == nil
-			}
-		}
-		l.mu.Lock()
-		if err != nil && l.err == nil {
-			l.err = err
-		}
-		l.flushed += uint64(len(batch))
-		l.batches++
-		l.bytes += uint64(len(buf))
-		if synced {
-			l.syncs++
-		}
-		l.mu.Unlock()
-		for _, c := range batch {
-			if c.done != nil {
-				// Synchronous append: publish this batch's outcome (in drain
-				// mode that is the latched error — the record never reached
-				// the sink) and hand the chunk to the waiting appender, who
-				// recycles it after reading err.
-				c.err = err
-				close(c.done)
-			} else {
-				l.bufPool.Put(c)
-			}
-		}
-		clear(batch)
-		batch = batch[:0]
 	}
+}
 
-	for {
-		select {
-		case c, ok := <-l.ch:
-			if !ok {
-				flushBatch()
-				return
-			}
-			batch = append(batch, c)
-			if len(batch) >= l.cfg.BatchSize {
-				flushBatch()
-			}
-		case <-timer.C:
-			flushBatch()
-			timer.Reset(l.cfg.FlushInterval)
-		case ack := <-l.flush:
-			// Drain whatever is already queued, then flush.
-			for {
-				select {
-				case c, ok := <-l.ch:
-					if !ok {
-						flushBatch()
-						close(ack)
-						return
-					}
-					batch = append(batch, c)
-					continue
-				default:
-				}
-				break
-			}
-			flushBatch()
-			close(ack)
+// flushPending swaps the pending batch out, hands it to the sink in exactly
+// one Write (plus one Sync at Fsync durability) and publishes its outcome.
+// Called with l.mu held; the I/O runs with it released.
+func (l *Log) flushPending() {
+	buf, n, seq := l.pending, l.recs, l.seq
+	l.pending, l.spare = l.spare[:0], buf
+	l.recs, l.forced = 0, false
+	l.seq++
+	err := l.err
+	if n >= l.cfg.BufferedRecords {
+		l.cond.Broadcast() // room again
+	}
+	l.mu.Unlock()
+	// Once any write or fsync has failed the log is dead: no further bytes
+	// go to the sink and — critically — no fsync is ever retried. After a
+	// failed fsync the kernel may have dropped the dirty pages and cleared
+	// the error (the fsyncgate semantics), so a later "successful" fsync
+	// would prove nothing about the lost bytes; retrying just converts data
+	// loss into silent data loss.
+	synced := false
+	if err == nil {
+		if l.cfg.Sink != nil {
+			_, err = l.cfg.Sink.Write(buf)
+		}
+		if err == nil && l.syncer != nil {
+			err = l.syncer.Sync()
+			synced = err == nil
 		}
 	}
+	l.mu.Lock()
+	if err != nil && l.err == nil {
+		l.err, l.failSeq = err, seq
+	}
+	l.stats.Flushed += uint64(n)
+	l.stats.Batches++
+	l.stats.Bytes += uint64(len(buf))
+	if synced {
+		l.stats.Syncs++
+	}
+	l.doneSeq = seq
+	l.cond.Broadcast()
 }

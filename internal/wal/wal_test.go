@@ -55,7 +55,7 @@ func TestAppendFlushRead(t *testing.T) {
 
 func TestSynchronousAppendWaitsForFlush(t *testing.T) {
 	var buf bytes.Buffer
-	l := Open(Config{Sink: &buf, Synchronous: true, BatchSize: 1})
+	l := Open(Config{Sink: &buf, Durability: Flush, BatchSize: 1})
 	if err := l.Append(testRecord(1, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestConcurrentAppend(t *testing.T) {
 
 func TestCorruptionDetected(t *testing.T) {
 	var buf bytes.Buffer
-	l := Open(Config{Sink: &buf, Synchronous: true, BatchSize: 1})
+	l := Open(Config{Sink: &buf, Durability: Flush, BatchSize: 1})
 	l.Append(testRecord(1, 1))
 	l.Close()
 	b := buf.Bytes()
@@ -156,7 +156,7 @@ func TestCorruptionDetected(t *testing.T) {
 
 func TestTornTailTolerated(t *testing.T) {
 	var buf bytes.Buffer
-	l := Open(Config{Sink: &buf, Synchronous: true, BatchSize: 1})
+	l := Open(Config{Sink: &buf, Durability: Flush, BatchSize: 1})
 	l.Append(testRecord(1, 1))
 	l.Append(testRecord(2, 2))
 	l.Close()
