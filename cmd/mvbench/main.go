@@ -6,7 +6,7 @@
 // Usage:
 //
 //	mvbench [flags]
-//	  -experiment string   fig4|fig5|table3|fig6|fig7|fig8|fig9|table4|readmostly|range|all (default "all")
+//	  -experiment string   fig4|fig5|table3|fig6|fig7|fig8|fig9|table4|range|all (default "all")
 //	  -nlarge int          rows standing in for the paper's 10M-row table (default 200000)
 //	  -nsmall int          hotspot table rows (default 1000, as in the paper)
 //	  -subscribers int     TATP population (default 100000; the paper used 20M)
@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "experiment to run: fig4|fig5|table3|fig6|fig7|fig8|fig9|table4|readmostly|range|all")
+		experiment  = flag.String("experiment", "all", "experiment to run: fig4|fig5|table3|fig6|fig7|fig8|fig9|table4|range|all")
 		nLarge      = flag.Int("nlarge", 200_000, "rows standing in for the paper's 10M-row table")
 		nSmall      = flag.Int("nsmall", 1_000, "hotspot table rows")
 		subscribers = flag.Int("subscribers", 100_000, "TATP population")

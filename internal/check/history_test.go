@@ -404,7 +404,7 @@ func benchValidate(b *testing.B, rebuild bool) {
 }
 
 // BenchmarkValidateIncremental vs BenchmarkValidateRebuild is the checker
-// micro-benchmark behind the PR's >=10x claim (see cmd/benchjson -checker).
+// micro-benchmark behind PR 10's >=10x claim (docs/testing.md).
 func BenchmarkValidateIncremental(b *testing.B) { benchValidate(b, false) }
 
 func BenchmarkValidateRebuild(b *testing.B) { benchValidate(b, true) }

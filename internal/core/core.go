@@ -114,13 +114,6 @@ type Config struct {
 	// DeadlockInterval is the MV/L wait-for deadlock detection period;
 	// 0 = default (2ms), negative disables the background detector.
 	DeadlockInterval time.Duration
-	// GCEvery runs cooperative MV garbage collection every N transactions
-	// (default 64); negative disables it.
-	GCEvery int
-	// DisableSpeculation turns off speculative reads/ignores (ablation).
-	DisableSpeculation bool
-	// DisableEagerUpdates turns off MV/L eager updates (ablation).
-	DisableEagerUpdates bool
 }
 
 // Database is a main-memory database instance backed by one engine.
@@ -163,13 +156,7 @@ func Open(cfg Config) (*Database, error) {
 	case SingleVersion:
 		db.svEng = sv.NewEngine(sv.Config{Log: db.log, LockTimeout: cfg.LockTimeout})
 	case MVOptimistic, MVPessimistic:
-		db.mvEng = mv.NewEngine(mv.Config{
-			Log:                 db.log,
-			DeadlockInterval:    cfg.DeadlockInterval,
-			GCEvery:             cfg.GCEvery,
-			DisableSpeculation:  cfg.DisableSpeculation,
-			DisableEagerUpdates: cfg.DisableEagerUpdates,
-		})
+		db.mvEng = mv.NewEngine(mv.Config{Log: db.log, DeadlockInterval: cfg.DeadlockInterval})
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %d", cfg.Scheme)
 	}

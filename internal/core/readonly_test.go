@@ -2,9 +2,11 @@ package core_test
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 func openLoaded(t *testing.T, scheme core.Scheme) (*core.Database, *core.Table) {
@@ -69,25 +71,61 @@ func TestReadOnlyFacade(t *testing.T) {
 	}
 }
 
+// TestReadOnlyFastLaneCounters is the read-only lane's contract on every
+// scheme: a few thousand R=10 transactions through BeginReadOnly move no
+// shared counter (MV: the timestamp oracle; 1V: the transaction-id and
+// end-sequence counters) and never overflow the striped pin table.
 func TestReadOnlyFastLaneCounters(t *testing.T) {
-	db, tbl := openLoaded(t, core.MVOptimistic)
-	defer db.Close()
+	const rows, txns = 1000, 4000
+	for _, scheme := range []core.Scheme{core.MVOptimistic, core.MVPessimistic, core.SingleVersion} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			db, err := core.Open(core.Config{Scheme: scheme})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			tbl, err := workload.Table(db, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			workload.Load(db, tbl, rows)
 
-	before := db.MV().Oracle().Current()
-	for i := 0; i < 50; i++ {
-		tx := db.Begin(core.WithReadOnly())
-		if _, _, err := tx.Lookup(tbl, 0, uint64(i)%10, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after := db.MV().Oracle().Current(); after != before {
-		t.Fatalf("read-only facade moved the counter: %d -> %d", before, after)
-	}
-	if s := db.MV().Stats(); s.ReadOnlyBegins != 50 {
-		t.Fatalf("ReadOnlyBegins = %d, want 50", s.ReadOnlyBegins)
+			// shared reads the counters the lane must not move.
+			shared := func() [2]uint64 {
+				if scheme == core.SingleVersion {
+					txSeq, endSeq := db.SV().Counters()
+					return [2]uint64{txSeq, endSeq}
+				}
+				return [2]uint64{db.MV().Oracle().Current()}
+			}
+			before := shared()
+			rd := workload.Homogeneous{Table: tbl, Dist: workload.Uniform{N: rows}, R: 10, W: 0}
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < txns; i++ {
+				tx := db.BeginReadOnly()
+				if _, err := rd.Run(tx, rng); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if after := shared(); after != before {
+				t.Fatalf("read-only lane moved a shared counter: %v -> %v", before, after)
+			}
+			var roBegins uint64
+			if scheme == core.SingleVersion {
+				roBegins = db.SV().Stats().ReadOnlyBegins
+			} else {
+				roBegins = db.MV().Stats().ReadOnlyBegins
+			}
+			if roBegins != txns {
+				t.Fatalf("ReadOnlyBegins = %d, want %d", roBegins, txns)
+			}
+			if n := db.PinOverflows(); n != 0 {
+				t.Fatalf("PinOverflows = %d, want 0", n)
+			}
+		})
 	}
 }
 
