@@ -107,13 +107,8 @@ type Config struct {
 	// DurabilityAsync). DurabilityFsync requires a sink implementing
 	// wal.Syncer (ckpt.Store, *os.File); otherwise it behaves as Flush.
 	Durability Durability
-	// LogBatch is the group-commit batch size (default 256).
-	LogBatch int
 	// LockTimeout bounds 1V lock waits (deadlock breaking); default 25ms.
 	LockTimeout time.Duration
-	// DeadlockInterval is the MV/L wait-for deadlock detection period;
-	// 0 = default (2ms), negative disables the background detector.
-	DeadlockInterval time.Duration
 }
 
 // Database is a main-memory database instance backed by one engine.
@@ -146,17 +141,13 @@ func (t *Table) Layout(i int) *keyenc.Layout { return t.layouts[i] }
 func Open(cfg Config) (*Database, error) {
 	db := &Database{cfg: cfg}
 	if cfg.LogSink != nil {
-		db.log = wal.Open(wal.Config{
-			Sink:       cfg.LogSink,
-			Durability: cfg.Durability,
-			BatchSize:  cfg.LogBatch,
-		})
+		db.log = wal.Open(wal.Config{Sink: cfg.LogSink, Durability: cfg.Durability})
 	}
 	switch cfg.Scheme {
 	case SingleVersion:
 		db.svEng = sv.NewEngine(sv.Config{Log: db.log, LockTimeout: cfg.LockTimeout})
 	case MVOptimistic, MVPessimistic:
-		db.mvEng = mv.NewEngine(mv.Config{Log: db.log, DeadlockInterval: cfg.DeadlockInterval})
+		db.mvEng = mv.NewEngine(mv.Config{Log: db.log})
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %d", cfg.Scheme)
 	}
@@ -705,55 +696,6 @@ func (tx *Tx) CommitTS() (uint64, error) {
 	end, err := tx.svTx.CommitTS()
 	tx.release()
 	return end, err
-}
-
-// TxBatch is a facade over mv.TxBatch: a single-worker transaction stream
-// that amortizes one timestamp-oracle draw and (for read-only
-// sub-transactions) all transaction-table registrations over a block of n
-// transactions. On a single-version database it degrades to plain Begins.
-//
-// At most one sub-transaction may be active at a time; finish it before the
-// next Begin, and Close the batch when the stream ends.
-type TxBatch struct {
-	db   *Database
-	mvB  *mv.TxBatch
-	opts txOptions
-}
-
-// BeginBatch prepares a batch drawing timestamps in blocks of n. The
-// options fix the scheme and isolation level for every sub-transaction
-// (WithReadOnly is not meaningful here: use BeginReadOnly for snapshot
-// readers, which are cheaper than any batch).
-func (db *Database) BeginBatch(n int, opts ...TxOption) *TxBatch {
-	o := txOptions{iso: ReadCommitted, scheme: db.cfg.Scheme}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	b := &TxBatch{db: db, opts: o}
-	if db.mvEng != nil {
-		scheme := mv.Optimistic
-		if o.scheme == MVPessimistic {
-			scheme = mv.Pessimistic
-		}
-		b.mvB = db.mvEng.BeginBatch(scheme, o.iso, n)
-	}
-	return b
-}
-
-// Begin starts the next sub-transaction of the batch.
-func (b *TxBatch) Begin() *Tx {
-	if b.mvB != nil {
-		return &Tx{db: b.db, mvTx: b.mvB.Begin()}
-	}
-	return &Tx{db: b.db, svTx: b.db.svEng.Begin(b.opts.iso)}
-}
-
-// Close releases the batch's resources. Every sub-transaction must already
-// be finished.
-func (b *TxBatch) Close() {
-	if b.mvB != nil {
-		b.mvB.Close()
-	}
 }
 
 // Abort rolls the transaction back. The handle must not be used after Abort

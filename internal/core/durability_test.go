@@ -32,7 +32,7 @@ func TestSyncCommitDurableBeforeReturn(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme.String(), func(t *testing.T) {
 			sink := &lockedBuffer{}
-			db, err := Open(Config{Scheme: scheme, LogSink: sink, Durability: DurabilityFlush, LogBatch: 1})
+			db, err := Open(Config{Scheme: scheme, LogSink: sink, Durability: DurabilityFlush})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +65,7 @@ func TestSyncCommitDurableBeforeReturn(t *testing.T) {
 // Aborted transactions and read-only transactions leave nothing in the log.
 func TestLogSkipsAbortsAndReadOnly(t *testing.T) {
 	sink := &lockedBuffer{}
-	db, err := Open(Config{Scheme: MVOptimistic, LogSink: sink, Durability: DurabilityFlush, LogBatch: 1})
+	db, err := Open(Config{Scheme: MVOptimistic, LogSink: sink, Durability: DurabilityFlush})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,11 +30,11 @@ func withGOMAXPROCS(t *testing.T, n int) {
 }
 
 // TestFunnelStressEngines hammers commit from many goroutines on every
-// scheme — plain transactions interleaved with TxBatch streams (batch
-// reserves go through the funnel's NextN) — and checks the properties the
-// funnel must preserve end to end: commit stamps are globally unique,
-// per-goroutine strictly increasing (a draw linearizes inside its own
-// CommitTS call), and the funnel's accounting stays consistent.
+// scheme, interleaving transaction-ID and end-timestamp draws, and checks
+// the properties the funnel must preserve end to end: commit stamps are
+// globally unique, per-goroutine strictly increasing (a draw linearizes
+// inside its own CommitTS call), and the funnel's accounting stays
+// consistent.
 func TestFunnelStressEngines(t *testing.T) {
 	withGOMAXPROCS(t, 4)
 	const (
@@ -71,19 +71,9 @@ func TestFunnelStressEngines(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(w)*6151 + 17))
-					var batch *TxBatch
-					if w%2 == 0 {
-						batch = db.BeginBatch(32)
-						defer batch.Close()
-					}
 					for i := 0; i < txns; i++ {
 						for {
-							var tx *Tx
-							if batch != nil {
-								tx = batch.Begin()
-							} else {
-								tx = db.Begin()
-							}
+							tx := db.Begin()
 							k := rng.Uint64() % rows
 							if _, err := tx.UpdateWhere(tbl, 0, k, nil, func(old []byte) []byte {
 								return pay(k, valOf(old)+1)

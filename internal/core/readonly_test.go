@@ -158,35 +158,3 @@ func TestReadOnlySingleVersionReadStability(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBatchFacade(t *testing.T) {
-	for _, scheme := range []core.Scheme{core.MVOptimistic, core.MVPessimistic, core.SingleVersion} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			db, tbl := openLoaded(t, scheme)
-			defer db.Close()
-
-			b := db.BeginBatch(16, core.WithIsolation(core.ReadCommitted))
-			defer b.Close()
-			for i := 0; i < 40; i++ {
-				tx := b.Begin()
-				if i%4 == 0 {
-					k := uint64(i % 10)
-					if _, err := tx.UpdateWhere(tbl, 0, k, nil, func(old []byte) []byte {
-						p := append([]byte(nil), old...)
-						binary.LittleEndian.PutUint64(p[8:], binary.LittleEndian.Uint64(old[8:])+1)
-						return p
-					}); err != nil {
-						tx.Abort()
-						continue
-					}
-				} else if _, _, err := tx.Lookup(tbl, 0, uint64(i)%10, nil); err != nil {
-					tx.Abort()
-					continue
-				}
-				if err := tx.Commit(); err != nil && scheme != core.SingleVersion {
-					t.Fatalf("txn %d: %v", i, err)
-				}
-			}
-		})
-	}
-}

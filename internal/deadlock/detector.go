@@ -2,6 +2,7 @@ package deadlock
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -42,7 +43,7 @@ type Detector struct {
 	mu      sync.Mutex
 	stop    chan struct{}
 	done    chan struct{}
-	victims uint64
+	victims atomic.Uint64
 }
 
 // NewDetector creates a detector polling src every interval.
@@ -78,11 +79,7 @@ func (d *Detector) Stop() {
 }
 
 // Victims returns the number of transactions aborted to break deadlocks.
-func (d *Detector) Victims() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.victims
-}
+func (d *Detector) Victims() uint64 { return d.victims.Load() }
 
 func (d *Detector) loop(stop, done chan struct{}) {
 	defer close(done)
@@ -93,12 +90,7 @@ func (d *Detector) loop(stop, done chan struct{}) {
 		case <-stop:
 			return
 		case <-ticker.C:
-			n := d.RunOnce()
-			if n > 0 {
-				d.mu.Lock()
-				d.victims += uint64(n)
-				d.mu.Unlock()
-			}
+			d.RunOnce()
 		}
 	}
 }
@@ -139,6 +131,9 @@ func (d *Detector) RunOnce() int {
 				victim, victimEnd = id, e
 			}
 		}
+		// Count before aborting: whoever observes the victim's abort then
+		// also observes the count.
+		d.victims.Add(1)
 		d.src.Abort(victim)
 		victims++
 	}

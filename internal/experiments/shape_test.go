@@ -178,6 +178,9 @@ func TestFig8And9Shape(t *testing.T) {
 	if withReaders > 0.5*base {
 		t.Errorf("1V update throughput did not collapse: %v -> %v", base, withReaders)
 	}
+	if raceEnabled {
+		return // cross-engine ratios are instrumentation artifacts under -race
+	}
 	// The MV schemes dominate 1V once long readers are present.
 	xmax := v1.X[len(v1.X)-1]
 	v1Last := at(t, v1, xmax)

@@ -61,12 +61,12 @@ type pinStripe struct {
 // pool purge just means the next Acquire takes the cold path.
 type pinHint struct{ slot int32 }
 
-// ReaderPins publishes the read timestamps of transactions that are NOT
-// registered in the transaction table: read-only snapshot readers and
-// lazily-registered batch transactions. The garbage collector folds the
-// minimum pinned timestamp into its watermark, so versions (and pooled
-// transaction objects) such a reader can still see are never recycled under
-// it.
+// ReaderPins publishes the read timestamps of readers that are NOT
+// registered in the transaction table: read-only fast-lane transactions,
+// checkpoint captures and deadlock-detector passes. The garbage collector
+// folds the minimum pinned timestamp into its watermark, so versions (and
+// pooled transaction objects) such a reader can still see are never recycled
+// under it.
 //
 // The table is striped into runtime.NumCPU padded stripes so concurrent
 // readers on different processors publish into different cache lines, and

@@ -6,7 +6,7 @@ import (
 )
 
 // LockedOracle flags scheduler-yielding operations inside mutex-locked
-// regions: calls to ts.Funnel.Next/NextN (which may open the combining
+// regions: calls to ts.Funnel.Next (which may open the combining
 // window and Gosched), runtime.Gosched, time.Sleep, and channel sends,
 // receives or selects, performed after a sync.Mutex/RWMutex Lock/RLock (or a
 // lock on a type embedding one) with no intervening unlock on the same
@@ -31,7 +31,7 @@ import (
 //     is the canonical case).
 var LockedOracle = &Analyzer{
 	Name: "lockedoracle",
-	Doc:  "no yield (Funnel.Next/NextN, Gosched, Sleep, channel op) inside a held mutex region",
+	Doc:  "no yield (Funnel.Next, Gosched, Sleep, channel op) inside a held mutex region",
 	Run:  runLockedOracle,
 }
 
@@ -246,7 +246,7 @@ func (s *lockScan) yieldingCall(call *ast.CallExpr) string {
 		return "runtime.Gosched"
 	case isPkgFunc(fn, "time", "Sleep"):
 		return "time.Sleep"
-	case isMethodOn(fn, []string{"Next", "NextN"}, "Funnel", "internal/ts"):
+	case isMethodOn(fn, []string{"Next"}, "Funnel", "internal/ts"):
 		return "ts.Funnel." + fn.Name() + " (window-opening draw)"
 	}
 	return ""

@@ -186,12 +186,12 @@ func (tx *Tx) CommitTS() (uint64, error) {
 		}
 	}
 
-	// Report to dependents, then leave the transaction table.
+	// Report to dependents, then leave the transaction table. (A fast-lane
+	// reader, the one transaction with no table entry, always commits
+	// through commitFast.)
 	tx.T.ResolveDependents(true, tx.e.txns)
 	tx.T.SetState(txn.Terminated)
-	if tx.registered {
-		tx.e.txns.Remove(tx.T.ID())
-	}
+	tx.e.txns.Remove(tx.T.ID())
 
 	// Old versions are now superseded; assign them to the garbage
 	// collector.
@@ -218,9 +218,9 @@ func (tx *Tx) CommitTS() (uint64, error) {
 // the paper's single shared critical section — can be skipped entirely.
 //
 // Read-only fast-lane transactions always qualify (they cannot write or take
-// locks); so do read-committed/snapshot read transactions from the regular
-// and batch Begin paths. Optimistic repeatable-read/serializable readers do
-// not: validation compares against an end timestamp (Section 3.2).
+// locks); so do read-committed/snapshot read transactions from Begin.
+// Optimistic repeatable-read/serializable readers do not: validation
+// compares against an end timestamp (Section 3.2).
 func (tx *Tx) fastCommittable() bool {
 	if len(tx.writeSet) > 0 || tx.tookLocks || len(tx.bucketLocks) > 0 || len(tx.rangeLocks) > 0 {
 		return false
@@ -248,7 +248,7 @@ func (tx *Tx) commitFast() error {
 		return ErrAborted
 	}
 	tx.T.SetState(txn.Terminated)
-	if tx.registered {
+	if tx.T.ID() != txn.Anonymous {
 		tx.e.txns.Remove(tx.T.ID())
 	}
 	tx.done = true
@@ -312,7 +312,7 @@ func (tx *Tx) abortInternal() {
 	// Cascade: dependents must also abort (Section 2.7).
 	tx.T.ResolveDependents(false, tx.e.txns)
 	tx.T.SetState(txn.Terminated)
-	if tx.registered {
+	if tx.T.ID() != txn.Anonymous {
 		tx.e.txns.Remove(tx.T.ID())
 	}
 
@@ -395,18 +395,7 @@ func (tx *Tx) rescan(sc *scanRecord, end uint64) error {
 		if !field.IsTS(bw) && field.TxID(bw) == tx.T.ID() {
 			return nil // our own creation is not a phantom
 		}
-		visEnd, err := tx.isVisible(v, end)
-		if err != nil {
-			return err
-		}
-		if !visEnd {
-			return nil
-		}
-		visStart, err := tx.isVisible(v, tx.T.Begin())
-		if err != nil {
-			return err
-		}
-		if !visStart {
+		if tx.isVisible(v, end) && !tx.isVisible(v, tx.T.Begin()) {
 			return ErrValidation // phantom
 		}
 		return nil

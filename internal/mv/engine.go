@@ -69,14 +69,6 @@ type Config struct {
 	GCEvery int
 	// GCQuota caps versions examined per cooperative round (default 256).
 	GCQuota int
-	// DisableSpeculation turns off speculative reads and speculative ignores
-	// (ablation): visibility outcomes that would require a commit dependency
-	// abort instead.
-	DisableSpeculation bool
-	// DisableEagerUpdates turns off the eager-update optimization (ablation
-	// of Section 4.2): updating a read-locked version or inserting into a
-	// locked bucket aborts instead of installing a wait-for dependency.
-	DisableEagerUpdates bool
 }
 
 // Stats aggregates engine-wide counters.
@@ -120,17 +112,17 @@ type Engine struct {
 	cfg    Config
 	oracle ts.Oracle
 	// funnel combines concurrent oracle draws (transaction IDs, end
-	// timestamps, batch blocks) into shared fetch-and-adds; see ts.Funnel.
+	// timestamps) into shared fetch-and-adds; see ts.Funnel.
 	funnel *ts.Funnel
 	txns   *txn.Table
 	gc     *gc.Collector
 	blt    *storage.BucketLockTable
 	det    *deadlock.Detector
 
-	// pins publishes the read times of transactions the transaction table
-	// cannot see — read-only fast-lane readers, lazily-registered batch
-	// transactions, and the deadlock detector's iteration epoch — so the GC
-	// watermark never passes them. See gc.ReaderPins for the protocol.
+	// pins publishes the read times of readers the transaction table cannot
+	// see — read-only fast-lane transactions, checkpoint captures and the
+	// deadlock detector's iteration epoch — so the GC watermark never passes
+	// them. See gc.ReaderPins for the protocol.
 	pins gc.ReaderPins
 
 	// nodeEpoch guards skip-list node reuse against the one class of readers
@@ -308,14 +300,14 @@ func (e *Engine) LoadRow(t *storage.Table, payload []byte) {
 func (e *Engine) Oracle() *ts.Oracle { return &e.oracle }
 
 // FunnelStats returns the oracle combining funnel's counters: every
-// transaction-ID, end-timestamp, and batch-block draw flows through the
-// funnel, so Physical is the engine's total oracle fetch-and-add count
-// (excluding bulk loads and recovery).
+// transaction-ID and end-timestamp draw flows through the funnel, so
+// Physical is the engine's total oracle fetch-and-add count (excluding bulk
+// loads and recovery).
 func (e *Engine) FunnelStats() ts.FunnelStats { return e.funnel.Stats() }
 
 // PinTableOverflows returns how many reader-pin acquisitions found the
-// striped pin table full (each fell back to a watermark-visible slow path:
-// registration for read-only begins, plain Begins for batches).
+// striped pin table full (each fell back to a watermark-visible slow path,
+// e.g. registration for read-only begins).
 func (e *Engine) PinTableOverflows() uint64 { return e.pins.Overflows() }
 
 // TxnTable exposes the transaction table (tests and diagnostics).
@@ -359,13 +351,12 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) Begin(scheme Scheme, iso Isolation) *Tx {
 	id := e.funnel.Next()
 	tx := e.getTx(id, id, scheme, iso)
-	tx.registered = true
 	e.txns.Register(tx.T)
 	return tx
 }
 
 // getTx prepares a transaction object (pooled when possible) with the given
-// identity; the caller decides how (and whether) it is registered.
+// identity; the caller decides whether it is registered.
 func (e *Engine) getTx(id, begin uint64, scheme Scheme, iso Isolation) *Tx {
 	var tx *Tx
 	if pooled, ok := e.txPool.Get().(*Tx); ok {
@@ -381,7 +372,6 @@ func (e *Engine) getTx(id, begin uint64, scheme Scheme, iso Isolation) *Tx {
 	tx.done = false
 	tx.tookLocks = false
 	tx.readOnly = false
-	tx.registered = false
 	tx.pin = -1
 	return tx
 }
@@ -440,11 +430,11 @@ func (e *Engine) finishTx(tx *Tx) {
 		e.pins.Release(tx.pin)
 		tx.pin = -1
 	}
-	if !tx.registered {
-		// The transaction never entered the table and never published its ID
-		// (unregistered transactions cannot write, lock buckets, or register
-		// dependencies), so no stale pointer to it can exist: it is reusable
-		// immediately, no quiescence wait needed.
+	if tx.T.ID() == txn.Anonymous {
+		// A fast-lane reader never entered the table and never published its
+		// ID (it cannot write, lock, or take dependencies), so no stale
+		// pointer to it can exist: it is reusable immediately, no quiescence
+		// wait needed.
 		e.txPool.Put(tx)
 	} else {
 		stamp := e.oracle.Current()

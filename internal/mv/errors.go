@@ -32,9 +32,6 @@ var (
 	// ErrWaitForRefused is returned when a wait-for dependency cannot be
 	// installed because the target refuses new dependencies.
 	ErrWaitForRefused = errors.New("mv: wait-for dependency refused")
-	// ErrSpeculationDisabled is returned when speculative reads/ignores are
-	// disabled (ablation mode) and visibility would require one.
-	ErrSpeculationDisabled = errors.New("mv: speculation disabled")
 	// ErrAborted mirrors txn.ErrAborted: the transaction was told to abort
 	// by a failed commit dependency or the deadlock detector.
 	ErrAborted = errors.New("mv: transaction aborted")

@@ -176,9 +176,6 @@ func (tx *Tx) installWriteLock(v *storage.Version) (wasReadLocked bool, err erro
 		if writer == field.NoWriter {
 			// Read locked only. Eager update: allowed, but tx cannot
 			// precommit until the read locks drain.
-			if field.Readers(w) > 0 && tx.e.cfg.DisableEagerUpdates {
-				return false, ErrWriteConflict
-			}
 			if v.CASEnd(w, field.WithWriter(w, tx.T.ID())) {
 				return field.Readers(w) > 0, nil
 			}
@@ -216,16 +213,13 @@ func (tx *Tx) installWriteLock(v *storage.Version) (wasReadLocked bool, err erro
 }
 
 // lockBucket takes a bucket lock for a serializable pessimistic scan
-// (Section 4.1.2). Locks are idempotent per transaction. The holder list
-// publishes the transaction's ID (inserters look holders up to register
-// wait-for dependencies), so a lazily-begun transaction registers first.
+// (Section 4.1.2). Locks are idempotent per transaction.
 func (tx *Tx) lockBucket(b *storage.Bucket) {
 	for _, held := range tx.bucketLocks {
 		if held == b {
 			return
 		}
 	}
-	tx.ensureRegistered()
 	tx.e.blt.Acquire(b, tx.T.ID())
 	tx.bucketLocks = append(tx.bucketLocks, b)
 }
@@ -249,16 +243,13 @@ type rangeLockRef struct {
 
 // lockRange takes a range lock on an ordered index for a serializable
 // pessimistic scan — the predicate-shaped analogue of lockBucket. Locks
-// covered by an already-held range are skipped. The holder list publishes
-// the transaction's ID (inserters look holders up to register wait-for
-// dependencies), so a lazily-begun transaction registers first.
+// covered by an already-held range are skipped.
 func (tx *Tx) lockRange(rl *storage.RangeLockTable, lo, hi uint64) {
 	for _, held := range tx.rangeLocks {
 		if held.rl == rl && held.lo <= lo && hi <= held.hi {
 			return
 		}
 	}
-	tx.ensureRegistered()
 	rl.Acquire(lo, hi, tx.T.ID())
 	tx.rangeLocks = append(tx.rangeLocks, rangeLockRef{rl, lo, hi})
 }
@@ -283,17 +274,11 @@ func (tx *Tx) insertDeps(ix storage.Index, key uint64) error {
 		if rl.Active() == 0 {
 			return nil
 		}
-		if tx.e.cfg.DisableEagerUpdates {
-			return ErrWriteConflict
-		}
 		return tx.holderDeps(rl.AppendHolders(tx.holders[:0], key))
 	}
 	b := ix.Lookup(key)
 	if b.LockCount() == 0 {
 		return nil
-	}
-	if tx.e.cfg.DisableEagerUpdates {
-		return ErrWriteConflict
 	}
 	return tx.holderDeps(tx.e.blt.AppendHolders(tx.holders[:0], b))
 }

@@ -1,8 +1,8 @@
 package mv
 
 // Record-lock edge cases of Section 4.1.1/4.2.1: counter saturation, the
-// NoMoreReadLocks starvation guard, lock-word transitions under eager
-// updates, and the eager-update ablation.
+// NoMoreReadLocks starvation guard and lock-word transitions under eager
+// updates.
 
 import (
 	"testing"
@@ -92,44 +92,6 @@ func TestNoMoreReadLocksGuard(t *testing.T) {
 	}
 	late.Abort()
 	mustCommit(t, writer)
-}
-
-func TestEagerUpdateAblation(t *testing.T) {
-	e := NewEngine(Config{DeadlockInterval: -1, DisableEagerUpdates: true})
-	t.Cleanup(func() { e.Close() })
-	tbl, err := e.CreateTable(storage.TableSpec{
-		Name:    "t",
-		Indexes: []storage.IndexSpec{{Name: "pk", Key: payloadKey, Buckets: 1 << 10}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.LoadRow(tbl, testPayload(1, 10))
-
-	reader := e.Begin(Pessimistic, RepeatableRead)
-	if _, ok := readVal(t, reader, tbl, 1); !ok {
-		t.Fatal("read failed")
-	}
-	// With eager updates disabled, updating a read-locked version aborts
-	// instead of installing a wait-for dependency.
-	writer := e.Begin(Pessimistic, ReadCommitted)
-	if err := writeVal(t, writer, tbl, 1, 20); err != ErrWriteConflict {
-		t.Fatalf("err = %v, want ErrWriteConflict (ablation)", err)
-	}
-	writer.Abort()
-	mustCommit(t, reader)
-
-	// Inserts into locked buckets likewise abort.
-	ser := e.Begin(Pessimistic, Serializable)
-	if _, ok := readVal(t, ser, tbl, 2); ok {
-		t.Fatal("unexpected row")
-	}
-	ins := e.Begin(Pessimistic, ReadCommitted)
-	if err := ins.Insert(tbl, testPayload(2, 22)); err != ErrWriteConflict {
-		t.Fatalf("insert into locked bucket: err = %v, want ErrWriteConflict", err)
-	}
-	ins.Abort()
-	mustCommit(t, ser)
 }
 
 func TestWriteLockReleasedOnAbortPreservesReadLocks(t *testing.T) {

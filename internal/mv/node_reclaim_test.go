@@ -231,7 +231,7 @@ func TestScanRangeReclaimChurnRace(t *testing.T) {
 // caller that ignores the error and commits anyway must get ErrAborted, not
 // a durable row the API reported as failed.
 func TestInsertDepsFailureDoomsTx(t *testing.T) {
-	e := NewEngine(Config{DeadlockInterval: -1, DisableEagerUpdates: true})
+	e := NewEngine(Config{DeadlockInterval: -1})
 	t.Cleanup(func() { e.Close() })
 	tbl, err := e.CreateTable(storage.TableSpec{
 		Name:    "t",
@@ -245,11 +245,16 @@ func TestInsertDepsFailureDoomsTx(t *testing.T) {
 	if keys := collectRange(t, scanner, tbl, 0, 100); len(keys) != 0 {
 		t.Fatalf("unexpected rows: %v", keys)
 	}
-	// With eager updates disabled, inserting into the locked range fails —
-	// after the version was linked, so the transaction must be doomed.
+	// The inserter already refuses wait-for dependencies (WaitWaitFors with
+	// none pending closes the door), so inserting into the locked range
+	// fails — after the version was linked, so the transaction must be
+	// doomed.
 	ins := e.Begin(Pessimistic, ReadCommitted)
-	if err := ins.Insert(tbl, testPayload(5, 5)); err != ErrWriteConflict {
-		t.Fatalf("insert into locked range: err = %v, want ErrWriteConflict", err)
+	if err := ins.T.WaitWaitFors(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ins.Insert(tbl, testPayload(5, 5)); err != ErrWaitForRefused {
+		t.Fatalf("insert into locked range: err = %v, want ErrWaitForRefused", err)
 	}
 	if err := ins.Commit(); err != ErrAborted {
 		t.Fatalf("commit after failed insert: err = %v, want ErrAborted", err)

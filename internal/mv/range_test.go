@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/gc"
 	"repro/internal/storage"
+	"repro/internal/txn"
 )
 
 func newOrderedTestEngine(t *testing.T) (*Engine, *storage.Table) {
@@ -335,7 +336,8 @@ func TestOrderedRecycleStress(t *testing.T) {
 
 // TestReaderPinOverflow: the self-sized striped pin table overflows into
 // the registered fallback once every slot is pinned, and recovers when slots
-// free up.
+// free up. It also pins the invariant commit and recycling rely on: a
+// transaction is in the table exactly when its ID is not txn.Anonymous.
 func TestReaderPinOverflow(t *testing.T) {
 	e := NewEngine(Config{DeadlockInterval: -1})
 	defer e.Close()
@@ -354,7 +356,14 @@ func TestReaderPinOverflow(t *testing.T) {
 	}
 	readers := make([]*Tx, 0, total+1)
 	for i := 0; i < total; i++ {
-		readers = append(readers, e.BeginReadOnly())
+		r := e.BeginReadOnly()
+		if r.T.ID() != txn.Anonymous {
+			t.Fatalf("fast-lane reader %d has ID %d, want txn.Anonymous", i, r.T.ID())
+		}
+		readers = append(readers, r)
+	}
+	if n := e.TxnTable().Len(); n != 0 {
+		t.Fatalf("fast-lane readers registered: table has %d entries", n)
 	}
 	s := e.Stats()
 	if s.ReadOnlyBegins != uint64(total) || s.PinOverflows != 0 {
@@ -369,12 +378,27 @@ func TestReaderPinOverflow(t *testing.T) {
 	if got := e.PinTableOverflows(); got != 1 {
 		t.Fatalf("PinTableOverflows = %d, want 1", got)
 	}
-	// The overflow reader still works, just registered.
+	// The overflow reader still works, just registered under a real ID, and
+	// is still read-only.
+	if id := over.T.ID(); id == txn.Anonymous {
+		t.Fatal("overflow reader is anonymous")
+	} else if got, ok := e.TxnTable().Lookup(id); !ok || got != over.T {
+		t.Fatalf("overflow reader %d not in the transaction table", id)
+	}
+	if n := e.TxnTable().Len(); n != 1 {
+		t.Fatalf("table has %d entries, want 1 (the overflow reader)", n)
+	}
+	if err := over.Insert(tbl, testPayload(2, 2)); err != ErrReadOnlyTx {
+		t.Fatalf("overflow reader Insert: err = %v, want ErrReadOnlyTx", err)
+	}
 	if v, ok := readVal(t, over, tbl, 1); !ok || v != 1 {
 		t.Fatalf("overflow reader read %d,%v", v, ok)
 	}
 	for _, tx := range readers {
 		mustCommit(t, tx)
+	}
+	if n := e.TxnTable().Len(); n != 0 {
+		t.Fatalf("table has %d entries after every reader committed, want 0", n)
 	}
 	// Slots freed: the fast lane is available again.
 	r := e.BeginReadOnly()

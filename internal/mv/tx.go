@@ -52,17 +52,13 @@ type Tx struct {
 	done   bool
 
 	// readOnly marks a snapshot reader from BeginReadOnly: every mutation
-	// fails with ErrReadOnlyTx, and (unless registered, the pin-overflow
-	// fallback) the transaction has no table entry and ID 0.
+	// fails with ErrReadOnlyTx. A fast-lane reader has ID txn.Anonymous and
+	// no table entry; the pin-overflow fallback is registered like any
+	// Begin. Every other transaction enters the table at Begin, so
+	// T.ID() != txn.Anonymous is exactly "in the transaction table".
 	readOnly bool
-	// registered is true once the transaction has an entry in the
-	// transaction table. Batch transactions start unregistered and register
-	// lazily, just before the first action that publishes their ID.
-	registered bool
-	// pin is the reader-pin slot protecting an unregistered transaction's
-	// snapshot from the garbage collector, or -1. Owned by the transaction
-	// for the read-only fast lane; batch transactions are covered by their
-	// batch's pin instead.
+	// pin is the reader-pin slot protecting a fast-lane reader's snapshot
+	// from the garbage collector, or -1.
 	pin int
 
 	readSet     []*storage.Version
@@ -93,21 +89,6 @@ func (tx *Tx) Iso() Isolation { return tx.iso }
 
 // ReadOnly reports whether the transaction is a read-only snapshot reader.
 func (tx *Tx) ReadOnly() bool { return tx.readOnly }
-
-// ensureRegistered enters a lazily-begun transaction into the transaction
-// table. It must be called before the first action that publishes the
-// transaction's ID into shared state — installing a write lock, linking a
-// new version, acquiring a bucket lock, or registering a commit dependency —
-// because other transactions resolve such IDs through the table. Until then
-// the transaction is invisible by construction and its snapshot is covered
-// by a reader pin, so deferring registration is free.
-func (tx *Tx) ensureRegistered() {
-	if tx.registered {
-		return
-	}
-	tx.registered = true
-	tx.e.txns.Register(tx.T)
-}
 
 // readTime returns the logical read time for the next read (Sections 3.1,
 // 3.4, 4.3.1): optimistic transactions read as of their begin time except at
@@ -264,11 +245,7 @@ func (tx *Tx) scanRange(t *storage.Table, indexOrd int, lo, hi uint64, pred Pred
 // (optimistic) or read-locked (pessimistic) at repeatable read and above,
 // then handed to fn. The returned bool is whether the scan should continue.
 func (tx *Tx) visit(v *storage.Version, rt uint64, ser, forUpdate bool, fn func(*storage.Version) (bool, error)) (bool, error) {
-	vis, err := tx.isVisible(v, rt)
-	if err != nil {
-		return false, err
-	}
-	if !vis {
+	if !tx.isVisible(v, rt) {
 		if ser && tx.scheme == Pessimistic {
 			// A version satisfying the predicate but not visible may be an
 			// uncommitted insert: a potential phantom (Section 4.2.2).
@@ -392,7 +369,6 @@ func (tx *Tx) Insert(t *storage.Table, payload []byte) error {
 	if tx.e.degraded.Load() {
 		return ErrDegraded
 	}
-	tx.ensureRegistered()
 	v := tx.e.vpool.GetIn(t.Arena(), payload, t.NumIndexes(), field.FromTxID(tx.T.ID()), infinityWord)
 	t.Insert(v)
 	tx.writeSet = append(tx.writeSet, writeRec{t, nil, v, wal.OpInsert, v.Key(0)})
@@ -559,7 +535,6 @@ func (tx *Tx) Update(t *storage.Table, old *storage.Version, newPayload []byte) 
 	if tx.e.degraded.Load() {
 		return ErrDegraded
 	}
-	tx.ensureRegistered()
 	wasReadLocked, err := tx.installWriteLock(old)
 	if err != nil {
 		tx.e.writeConflicts.Add(1)
@@ -599,7 +574,6 @@ func (tx *Tx) Delete(t *storage.Table, old *storage.Version) error {
 	if tx.e.degraded.Load() {
 		return ErrDegraded
 	}
-	tx.ensureRegistered()
 	wasReadLocked, err := tx.installWriteLock(old)
 	if err != nil {
 		tx.e.writeConflicts.Add(1)

@@ -176,23 +176,17 @@ func depIf(visible bool, dep *txn.Txn) *txn.Txn {
 
 // isVisible runs the visibility test and registers any required commit
 // dependency. If the dependency target already resolved, the test is rerun
-// against its final state. The error is non-nil when the transaction must
-// abort (speculation disabled, or a dependency cascade).
+// against its final state.
 //
 //mvlint:noalloc
-func (tx *Tx) isVisible(v *storage.Version, rt uint64) (bool, error) {
+func (tx *Tx) isVisible(v *storage.Version, rt uint64) bool {
 	for {
 		out := tx.e.checkVisibility(tx.T, v, rt)
 		if out.dep == nil {
-			return out.visible, nil
+			return out.visible
 		}
-		if tx.e.cfg.DisableSpeculation {
-			// Ablation: without speculation the transaction cannot proceed
-			// past an unresolved writer.
-			return false, ErrSpeculationDisabled
-		}
-		if tx.readOnly && !tx.registered {
-			// An anonymous reader cannot take a commit dependency: resolution
+		if tx.T.ID() == txn.Anonymous {
+			// A fast-lane reader cannot take a commit dependency: resolution
 			// would look it up in the transaction table. The window is tiny —
 			// dep is mid-Preparing, and it can never wait on us (we hold no
 			// locks and receive no dependencies) — so wait it out and rerun
@@ -200,16 +194,13 @@ func (tx *Tx) isVisible(v *storage.Version, rt uint64) (bool, error) {
 			runtime.Gosched()
 			continue
 		}
-		// A lazily-begun transaction must be in the table before the target
-		// records our ID as a dependent.
-		tx.ensureRegistered()
 		switch out.dep.RegisterDependent(tx.T) {
 		case txn.DepAdded:
 			tx.e.speculativeReads.Add(1)
-			return out.visible, nil
+			return out.visible
 		case txn.DepCommitted:
 			// Already committed: the speculative outcome is now definite.
-			return out.visible, nil
+			return out.visible
 		case txn.DepAborted:
 			// The target aborted; the visibility outcome flips or the
 			// version is garbage. Re-run against the final state.

@@ -198,9 +198,8 @@ func TestIsVisibleDependencyRegistration(t *testing.T) {
 	e, r := visEngine(t)
 	te := registerTxn(e, 15, txn.Preparing, 40)
 	v := mkVersion(field.FromTS(10), field.Lock(te.ID(), 0, false))
-	vis, err := r.isVisible(v, 50)
-	if err != nil || vis {
-		t.Fatalf("got vis=%v err=%v, want speculative ignore", vis, err)
+	if r.isVisible(v, 50) {
+		t.Fatal("got visible, want speculative ignore")
 	}
 	if r.T.CommitDepCount() != 1 {
 		t.Fatalf("CommitDepCount = %d, want 1", r.T.CommitDepCount())
@@ -210,17 +209,5 @@ func TestIsVisibleDependencyRegistration(t *testing.T) {
 	te.ResolveDependents(true, e.TxnTable())
 	if r.T.CommitDepCount() != 0 {
 		t.Fatal("dependency not resolved")
-	}
-}
-
-func TestIsVisibleSpeculationDisabled(t *testing.T) {
-	e := NewEngine(Config{DeadlockInterval: -1, DisableSpeculation: true})
-	t.Cleanup(func() { e.Close() })
-	e.Oracle().AdvanceTo(100)
-	r := e.Begin(Optimistic, SnapshotIsolation)
-	te := registerTxn(e, 16, txn.Preparing, 40)
-	v := mkVersion(field.FromTS(10), field.Lock(te.ID(), 0, false))
-	if _, err := r.isVisible(v, 50); err != ErrSpeculationDisabled {
-		t.Fatalf("err = %v, want ErrSpeculationDisabled", err)
 	}
 }

@@ -25,7 +25,6 @@
 package recovery
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 	"os"
@@ -104,17 +103,24 @@ func Replay(db *core.Database, tables TableSet, r io.Reader) (Stats, error) {
 // streams) in end-timestamp order.
 func ReplayRecords(db *core.Database, tables TableSet, recs []*wal.Record) (Stats, error) {
 	var st Stats
-	ordered := make([]*wal.Record, len(recs))
-	copy(ordered, recs)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].EndTS < ordered[j].EndTS })
-
-	for _, rec := range ordered {
-		if err := applyRecord(db, tables, rec, &st); err != nil {
-			return st, err
-		}
+	if err := applyInOrder(db, tables, append([]*wal.Record(nil), recs...), &st); err != nil {
+		return st, err
 	}
 	advanceSequences(db, st.MaxEndTS)
 	return st, nil
+}
+
+// applyInOrder sorts recs by end timestamp, in place, and applies them.
+// Group commit interleaves end timestamps within a stream, so no input is
+// assumed sorted.
+func applyInOrder(db *core.Database, tables TableSet, recs []*wal.Record, st *Stats) error {
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].EndTS < recs[j].EndTS })
+	for _, rec := range recs {
+		if err := applyRecord(db, tables, rec, st); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // applyRecord replays one committed transaction's redo record inside one
@@ -218,18 +224,10 @@ func Recover(db *core.Database, tables TableSet, store *ckpt.Store, opts Options
 	if err != nil {
 		return st, err
 	}
-	for tail.Len() > 0 {
-		rec := heap.Pop(tail).(*wal.Record)
-		if err := applyRecord(db, tables, rec, &st); err != nil {
-			return st, err
-		}
+	if err := applyInOrder(db, tables, tail, &st); err != nil {
+		return st, err
 	}
-
-	max := st.MaxEndTS
-	if st.CheckpointTS > max {
-		max = st.CheckpointTS
-	}
-	advanceSequences(db, max)
+	advanceSequences(db, max(st.MaxEndTS, st.CheckpointTS))
 	st.Elapsed = time.Since(start)
 	return st, nil
 }
@@ -368,35 +366,16 @@ func restorePartition(db *core.Database, tbl *core.Table, path string, info ckpt
 	return total, nil
 }
 
-// recHeap is a min-heap of records ordered by end timestamp, merging the
-// per-segment streams for tail replay.
-type recHeap []*wal.Record
-
-func (h recHeap) Len() int            { return len(h) }
-func (h recHeap) Less(i, j int) bool  { return h[i].EndTS < h[j].EndTS }
-func (h recHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *recHeap) Push(x interface{}) { *h = append(*h, x.(*wal.Record)) }
-func (h *recHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	rec := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return rec
-}
-
 // readTail scans every log segment with the torn-tail-tolerant reader,
-// keeping only records above the checkpoint's stable timestamp. Group
-// commit interleaves end timestamps within a segment, so the tail is merged
-// through a heap rather than assumed sorted; the stable-timestamp filter
-// during the scan is what bounds its size to the post-checkpoint window.
-func readTail(store *ckpt.Store, ckptTS uint64, st *Stats) (*recHeap, error) {
+// keeping only records above the checkpoint's stable timestamp, in file
+// order; the stable-timestamp filter during the scan is what bounds the
+// tail to the post-checkpoint window.
+func readTail(store *ckpt.Store, ckptTS uint64, st *Stats) ([]*wal.Record, error) {
 	paths, err := store.SegmentPaths()
 	if err != nil {
 		return nil, err
 	}
-	h := &recHeap{}
-	heap.Init(h)
+	var tail []*wal.Record
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
@@ -416,14 +395,14 @@ func readTail(store *ckpt.Store, ckptTS uint64, st *Stats) (*recHeap, error) {
 				st.SkippedRecords++
 				continue
 			}
-			heap.Push(h, rec)
+			tail = append(tail, rec)
 		}
 		st.TruncatedBytes += d.Truncated()
 		st.SegmentsRead++
 		f.Close()
 	}
-	st.TailRecords = h.Len()
-	return h, nil
+	st.TailRecords = len(tail)
+	return tail, nil
 }
 
 // Audit verifies a log stream against the exactly-once property: every end

@@ -18,7 +18,6 @@ const funnelHeat = 64
 // a waiter spins on its own node — there is no shared completion flag.
 type funnelWaiter struct {
 	next  *funnelWaiter
-	n     uint64
 	start atomic.Uint64
 }
 
@@ -47,18 +46,19 @@ func (s FunnelStats) Ratio() float64 {
 // Funnel is a combining funnel over an Oracle: draws that arrive while
 // another draw is in flight enroll in a combining slot, and the goroutine
 // holding the funnel (the combiner) issues ONE Oracle.NextN fetch-and-add
-// covering every enrolled request, handing each participant a distinct range
-// of consecutive timestamps. The paper's single critical section (Section 6)
+// covering every enrolled request, handing each participant a distinct
+// timestamp from the block. The paper's single critical section (Section 6)
 // is thereby touched once per *batch* of concurrent committers instead of
 // once per committer.
 //
-// Correctness is inherited from NextN, not argued anew: a participant's
-// timestamps come from a fetch-and-add that happens AFTER the participant
-// called NextN (it enrolled first, and the combiner swaps the enrollment
-// list closed before drawing) and BEFORE its NextN returns. The draw
-// therefore linearizes somewhere inside the participant's own call, exactly
-// like a direct Oracle.NextN — timestamps remain unique and monotone, and a
-// draw is never reordered past anything the caller did before or after it.
+// Correctness is inherited from the fetch-and-add, not argued anew: a
+// participant's timestamp comes from a fetch-and-add that happens AFTER the
+// participant called Next (it enrolled first, and the combiner swaps the
+// enrollment list closed before drawing) and BEFORE its Next returns. The
+// draw therefore linearizes somewhere inside the participant's own call,
+// exactly like a direct Oracle.Next — timestamps remain unique and monotone,
+// and a draw is never reordered past anything the caller did before or
+// after it.
 // In particular the MV/L commit-ordering invariant (end timestamp drawn
 // while locks are held, docs/indexes.md) is preserved: a transaction that
 // was delayed by another's locks enters the funnel only after the delayer's
@@ -68,14 +68,14 @@ func (s FunnelStats) Ratio() float64 {
 // docs/perf.md, "End timestamps are never pre-reserved").
 //
 // Under low contention every TryLock succeeds and a draw costs one
-// uncontended lock acquisition plus its own NextN — the 1-CPU fast path.
-// After contention is observed, the combiner briefly yields ("combining
-// window") before closing a batch so peer committers that are runnable on
-// the same processor can enroll; the window decays away after funnelHeat
-// uncontended rounds. Callers holding engine locks must use NextLocked,
-// which never opens the window: a yield inside a locked region would extend
-// every blocked transaction's wait, trading oracle throughput for lock
-// latency exactly where it hurts.
+// uncontended lock acquisition plus its own fetch-and-add — the 1-CPU fast
+// path. After contention is observed, the combiner briefly yields
+// ("combining window") before closing a batch so peer committers that are
+// runnable on the same processor can enroll; the window decays away after
+// funnelHeat uncontended rounds. Callers holding engine locks must use
+// NextLocked, which never opens the window: a yield inside a locked region
+// would extend every blocked transaction's wait, trading oracle throughput
+// for lock latency exactly where it hurts.
 // The struct is laid out in three cache-line groups (mvlint/padcheck): the
 // combining words every committer hits (TryLock word, enroll stack, heat),
 // the waiter pool, and the mu-protected statistics counters, so pool and
@@ -116,7 +116,12 @@ func (f *Funnel) Oracle() *Oracle { return f.oracle }
 
 // Next draws one timestamp through the funnel. The caller must not be
 // holding engine locks (see NextLocked).
-func (f *Funnel) Next() uint64 { return f.NextN(1) }
+func (f *Funnel) Next() uint64 {
+	if f.mu.TryLock() {
+		return f.combine(true, true)
+	}
+	return f.enroll()
+}
 
 // NextLocked draws one timestamp for a caller that is holding engine locks
 // (an MV/L or 1V committer drawing its end timestamp inside its locked
@@ -127,31 +132,19 @@ func (f *Funnel) Next() uint64 { return f.NextN(1) }
 // they win the lock.
 func (f *Funnel) NextLocked() uint64 {
 	if f.mu.TryLock() {
-		return f.combine(1, false)
+		return f.combine(true, false)
 	}
-	return f.enroll(1)
+	return f.enroll()
 }
 
-// NextN draws n consecutive timestamps through the funnel and returns the
-// first. n must be at least 1. The caller must not be holding engine locks
-// (see NextLocked).
-func (f *Funnel) NextN(n uint64) uint64 {
-	if f.mu.TryLock() {
-		return f.combine(n, true)
-	}
-	return f.enroll(n)
-}
-
-// enroll publishes a draw request of size n on the combining stack and waits
-// to be served, self-serving if the funnel frees up first.
-func (f *Funnel) enroll(n uint64) uint64 {
-
+// enroll publishes a draw request on the combining stack and waits to be
+// served, self-serving if the funnel frees up first.
+func (f *Funnel) enroll() uint64 {
 	// A draw is in flight: enroll in its epoch and wait to be served. The
 	// failed TryLock is the contention signal that (re)opens the combining
 	// window.
 	f.heat.Store(funnelHeat)
 	w := f.pool.Get().(*funnelWaiter)
-	w.n = n
 	for {
 		h := f.head.Load()
 		w.next = h
@@ -170,21 +163,20 @@ func (f *Funnel) enroll(n uint64) uint64 {
 		// been dropped and nobody is coming, the waiter becomes the combiner
 		// and serves the stack — including, possibly, its own node.
 		if f.mu.TryLock() {
-			f.combine(0, false)
+			f.combine(false, false)
 		}
 		runtime.Gosched()
 	}
 }
 
 // combine runs one funnel round. The caller must hold f.mu; combine unlocks
-// it. n is the combiner's own request size (0 for a waiter draining the
-// stack on behalf of its peers), and the combiner's own timestamps are the
-// FIRST n of the drawn block; the return value is their start (0 when n is
-// 0 and nothing was requested by the combiner). window permits the yield
-// below; lock-holding callers pass false.
+// it. own says whether the combiner draws a timestamp itself (false for a
+// waiter draining the stack on behalf of its peers); if so it gets the FIRST
+// timestamp of the drawn block, which is the return value. window permits
+// the yield below; lock-holding callers pass false.
 //
 //mvlint:locked
-func (f *Funnel) combine(n uint64, window bool) uint64 {
+func (f *Funnel) combine(own, window bool) uint64 {
 	if window && f.heat.Load() > 0 {
 		// Combining window: contention was seen recently, so yield once
 		// before closing the batch. Runnable peer committers get scheduled,
@@ -204,9 +196,13 @@ func (f *Funnel) combine(n uint64, window bool) uint64 {
 	if f.head.Load() != nil {
 		batch = f.head.Swap(nil)
 	}
-	total := n
+	var served uint64
 	for w := batch; w != nil; w = w.next {
-		total += w.n
+		served++
+	}
+	total := served
+	if own {
+		total++
 	}
 	var start uint64
 	if total > 0 {
@@ -214,25 +210,16 @@ func (f *Funnel) combine(n uint64, window bool) uint64 {
 		f.physical.Add(1)
 	}
 
-	served := uint64(0)
-	v := start + n
-	for w := batch; w != nil; {
-		// Read everything we need from the node BEFORE publishing its
-		// start: the store hands the node back to its owner, who may
-		// recycle it through the pool immediately.
+	for w, v := batch, start+total-served; w != nil; v++ {
+		// Read the link BEFORE publishing the start: the store hands the
+		// node back to its owner, who may recycle it through the pool
+		// immediately.
 		next := w.next
-		wn := w.n
 		w.start.Store(v)
-		v += wn
-		served++
 		w = next
 	}
 
-	own := uint64(0)
-	if n > 0 {
-		own = 1
-	}
-	f.draws.Add(own + served)
+	f.draws.Add(total)
 	if served > 0 {
 		f.combined.Add(served)
 		f.batches.Add(1)

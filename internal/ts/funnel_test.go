@@ -12,14 +12,10 @@ import (
 func TestFunnelSequential(t *testing.T) {
 	var o Oracle
 	f := NewFunnel(&o)
-	if got := f.Next(); got != 1 {
-		t.Fatalf("first draw = %d, want 1", got)
-	}
-	if got := f.NextN(10); got != 2 {
-		t.Fatalf("block draw start = %d, want 2", got)
-	}
-	if got := f.Next(); got != 12 {
-		t.Fatalf("draw after block = %d, want 12", got)
+	for want := uint64(1); want <= 3; want++ {
+		if got := f.Next(); got != want {
+			t.Fatalf("draw = %d, want %d", got, want)
+		}
 	}
 	s := f.Stats()
 	if s.Draws != 3 || s.Physical != 3 || s.Combined != 0 || s.Batches != 0 {
@@ -41,12 +37,11 @@ func TestFunnelCombineDeterministic(t *testing.T) {
 
 	var wg sync.WaitGroup
 	results := make([]uint64, 2)
-	sizes := []uint64{1, 5}
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = f.NextN(sizes[i])
+			results[i] = f.Next()
 		}(i)
 	}
 	// Wait until both waiters are enrolled. Their TryLock always fails (we
@@ -63,21 +58,23 @@ func TestFunnelCombineDeterministic(t *testing.T) {
 	}
 
 	// Run the round as the combiner with a request of our own.
-	start := f.combine(2, false) // combine unlocks f.mu
+	start := f.combine(true, false) // combine unlocks f.mu
 	wg.Wait()
 
 	if start != 1 {
 		t.Fatalf("combiner start = %d, want 1", start)
 	}
-	// One fetch-and-add covered 2 + 1 + 5 timestamps.
-	if got := o.Current(); got != 8 {
-		t.Fatalf("oracle after combined round = %d, want 8", got)
+	// One fetch-and-add covered all three timestamps.
+	if got := o.Current(); got != 3 {
+		t.Fatalf("oracle after combined round = %d, want 3", got)
 	}
-	// The three ranges partition [1,8] without overlap.
+	// The three draws are exactly {1, 2, 3}.
 	got := append([]uint64{start}, results...)
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if got[0] != 1 {
-		t.Fatalf("ranges = %v, want to start at 1", got)
+	for i, v := range got {
+		if v != uint64(i+1) {
+			t.Fatalf("draws = %v, want [1 2 3]", got)
+		}
 	}
 	s := f.Stats()
 	if s.Physical != 1 || s.Draws != 3 || s.Combined != 2 || s.Batches != 1 {
@@ -109,9 +106,10 @@ func TestFunnelWaiterSelfService(t *testing.T) {
 	}
 }
 
-// TestFunnelStress: many goroutines drawing concurrently (mixed sizes) must
-// receive globally unique, per-goroutine monotone ranges that never exceed
-// the oracle, and the stats must account for every draw.
+// TestFunnelStress: many goroutines drawing concurrently (windowed and
+// locked draws mixed) must receive globally unique, per-goroutine monotone
+// timestamps that never exceed the oracle, and the stats must account for
+// every draw.
 func TestFunnelStress(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	var o Oracle
@@ -119,44 +117,42 @@ func TestFunnelStress(t *testing.T) {
 
 	const workers = 8
 	const draws = 5000
-	type block struct{ start, n uint64 }
-	blocks := make([][]block, workers)
+	stamps := make([][]uint64, workers)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			mine := make([]block, 0, draws)
+			mine := make([]uint64, 0, draws)
 			for i := 0; i < draws; i++ {
-				n := uint64(1 + (i+w)%3)
-				s := f.NextN(n)
-				mine = append(mine, block{s, n})
+				if (i+w)%3 == 0 {
+					mine = append(mine, f.NextLocked())
+				} else {
+					mine = append(mine, f.Next())
+				}
 			}
-			blocks[w] = mine
+			stamps[w] = mine
 		}(w)
 	}
 	wg.Wait()
 
-	var total uint64
+	total := uint64(workers * draws)
 	seen := make(map[uint64]bool)
-	for w := range blocks {
+	for w := range stamps {
 		prev := uint64(0)
-		for _, b := range blocks[w] {
-			if b.start == 0 {
-				t.Fatalf("worker %d drew start 0", w)
+		for _, s := range stamps[w] {
+			if s == 0 {
+				t.Fatalf("worker %d drew 0", w)
 			}
-			if b.start <= prev {
-				t.Fatalf("worker %d: draw start %d not after previous block end %d", w, b.start, prev)
+			if s <= prev {
+				t.Fatalf("worker %d: draw %d not after previous draw %d", w, s, prev)
 			}
-			for v := b.start; v < b.start+b.n; v++ {
-				if seen[v] {
-					t.Fatalf("timestamp %d issued twice", v)
-				}
-				seen[v] = true
+			if seen[s] {
+				t.Fatalf("timestamp %d issued twice", s)
 			}
-			prev = b.start + b.n - 1
-			total += b.n
+			seen[s] = true
+			prev = s
 		}
 	}
 	if cur := o.Current(); cur < total {

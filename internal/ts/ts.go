@@ -24,9 +24,8 @@ func (o *Oracle) Next() uint64 {
 
 // NextN atomically reserves n consecutive timestamps and returns the first.
 // A single fetch-and-add amortizes the shared-counter touch over a whole
-// batch of transactions (one worker hands out ids start..start+n-1 itself).
-// Unused tail ids are simply never issued; the sequence stays unique and
-// monotone, which is all the protocol requires.
+// batch of concurrent draws (Funnel hands out start..start+n-1, one per
+// enrolled request).
 func (o *Oracle) NextN(n uint64) uint64 {
 	return o.counter.Add(n) - n + 1
 }

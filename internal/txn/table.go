@@ -36,12 +36,11 @@ const noMin = math.MaxUint64
 // OldestBegin is O(shards) atomic loads instead of a locked walk of every
 // entry — the watermark computation stays off the transaction hot path.
 //
-// Registration may be lazy: a transaction that has not yet published its ID
-// into any shared state (version words, bucket-lock holder lists, commit or
-// wait-for dependency sets) is invisible to every lookup, so it may defer
-// Register until just before the first such publication — provided a
-// gc.ReaderPins pin covers its read time in the meantime, since OldestBegin
-// cannot see unregistered transactions.
+// A transaction registers at Begin, before it can publish its ID into any
+// shared state (version words, lock holder lists, commit or wait-for
+// dependency sets). The one exception is an Anonymous reader, which never
+// registers and is covered by a gc.ReaderPins pin instead, since
+// OldestBegin cannot see it.
 type Table struct {
 	shards [tableShards]tableShard
 }
