@@ -23,7 +23,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 
 	"repro/internal/wal"
 )
@@ -54,11 +53,6 @@ var ErrFrozen = fmt.Errorf("ckpt: store frozen (simulated crash)")
 
 // StoreOptions selects how live segments are opened.
 type StoreOptions struct {
-	// ODSync opens live segments with O_DSYNC: every Write is synchronous,
-	// so the per-batch Sync hook becomes a no-op. The alternative to
-	// explicit group-commit fsync, at one synchronous I/O per batch either
-	// way.
-	ODSync bool
 	// Faults, when non-nil, wraps live segments in a wal.FaultFile driven by
 	// this registry: the byte-granularity fault model (write errors, short
 	// writes, ENOSPC, fsync errors, power loss) used by the sync-commit
@@ -129,11 +123,7 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) openSegmentLocked() error {
 	s.segSeq++
 	s.segPath = filepath.Join(s.dir, fmt.Sprintf("wal-%06d.log", s.segSeq))
-	flags := os.O_CREATE | os.O_EXCL | os.O_WRONLY
-	if s.opts.ODSync {
-		flags |= syscall.O_DSYNC
-	}
-	f, err := os.OpenFile(s.segPath, flags, 0o644)
+	f, err := os.OpenFile(s.segPath, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
@@ -202,9 +192,6 @@ func (s *Store) Write(p []byte) (int, error) {
 		}
 		return n, err
 	}
-	if s.opts.ODSync {
-		s.segSynced = s.segSize // O_DSYNC writes land durable
-	}
 	return len(p), nil
 }
 
@@ -212,8 +199,7 @@ func (s *Store) Write(p []byte) (int, error) {
 // hook wal.Log calls at Fsync durability. A latched failure is returned
 // without touching the file again: after a failed fsync the kernel may have
 // dropped the dirty pages and cleared its error state, so a retry would
-// falsely succeed (fsyncgate). With O_DSYNC segments every write is already
-// synchronous and Sync is a no-op. A frozen store reports success, matching
+// falsely succeed (fsyncgate). A frozen store reports success, matching
 // its Write contract (the modelled process is dead; nothing it observed
 // after the crash point happened).
 func (s *Store) Sync() error {
@@ -225,7 +211,7 @@ func (s *Store) Sync() error {
 	if err := s.err; err != nil {
 		return err
 	}
-	if s.opts.ODSync || s.seg == nil {
+	if s.seg == nil {
 		s.segSynced = s.segSize
 		return nil
 	}

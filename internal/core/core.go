@@ -201,15 +201,19 @@ func (db *Database) SV() *sv.Engine { return db.svEng }
 // checkpointer uses it to flush and fence the log around a checkpoint.
 func (db *Database) WAL() *wal.Log { return db.log }
 
-// FunnelStats returns the timestamp-oracle combining funnel's counters: for
-// MV databases the shared commit-timestamp funnel, for 1V databases the
-// end-sequence funnel. Physical is the number of fetch-and-adds actually
-// issued on the shared counter; Draws/Physical is the combining ratio.
+// FunnelStats returns the timestamp counter's current value in both fields:
+// the MV oracle (transaction IDs and end timestamps), or the 1V end
+// sequence. Every draw is one fetch-and-add, so deltas count draws. It
+// exists for the benchmark module (benchmark/run.go); ROADMAP item 1(f)
+// renames it.
 func (db *Database) FunnelStats() ts.FunnelStats {
+	var cur uint64
 	if db.mvEng != nil {
-		return db.mvEng.FunnelStats()
+		cur = db.mvEng.Oracle().Current()
+	} else {
+		_, cur = db.svEng.Counters()
 	}
-	return db.svEng.FunnelStats()
+	return ts.FunnelStats{Draws: cur, Physical: cur}
 }
 
 // PinOverflows reports how many reader-pin acquisitions found every slot of

@@ -129,6 +129,58 @@ func TestReadOnlyFastLaneCounters(t *testing.T) {
 	}
 }
 
+// TestFunnelStatsCountsDraws pins what FunnelStats counts: an MV writer
+// draws twice (transaction ID at Begin, end timestamp at commit), a 1V
+// writer once (end sequence), and a read-only transaction never.
+func TestFunnelStatsCountsDraws(t *testing.T) {
+	for _, c := range []struct {
+		scheme core.Scheme
+		write  uint64
+	}{
+		{core.MVOptimistic, 2},
+		{core.MVPessimistic, 2},
+		{core.SingleVersion, 1},
+	} {
+		t.Run(c.scheme.String(), func(t *testing.T) {
+			db, tbl := openLoaded(t, c.scheme)
+			defer db.Close()
+			draws := func() uint64 {
+				fs := db.FunnelStats()
+				if fs.Draws != fs.Physical {
+					t.Fatalf("Draws %d != Physical %d", fs.Draws, fs.Physical)
+				}
+				return fs.Draws
+			}
+
+			before := draws()
+			tx := db.Begin()
+			if _, err := tx.UpdateWhere(tbl, 0, 1, nil, func(old []byte) []byte {
+				return append([]byte(nil), old...)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if d := draws() - before; d != c.write {
+				t.Fatalf("writing transaction drew %d, want %d", d, c.write)
+			}
+
+			before = draws()
+			ro := db.BeginReadOnly()
+			if _, ok, err := ro.Lookup(tbl, 0, 1, nil); err != nil || !ok {
+				t.Fatalf("lookup: ok=%v err=%v", ok, err)
+			}
+			if err := ro.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if d := draws() - before; d != 0 {
+				t.Fatalf("read-only transaction drew %d, want 0", d)
+			}
+		})
+	}
+}
+
 // TestReadOnlySingleVersionReadStability pins the 1V semantics of
 // WithReadOnly: the transaction must hold read locks (snapshot isolation is
 // upgraded to repeatable read), so a concurrent writer cannot slip an

@@ -1,9 +1,9 @@
 // Package lint is mvlint's analysis driver: a stdlib-only static-analysis
 // suite that turns this repository's load-bearing prose invariants — the
-// ordering comments in ts.Funnel, mv.Commit, sv.CommitTS, the skip-list
-// sweeper — into machine-checked rules. The tree is loaded with go/parser
-// and type-checked with go/types over importer.ForCompiler(..., "source",
-// ...); there are no dependencies outside the standard library.
+// ordering comments in mv.Commit, sv.CommitTS, the skip-list sweeper — into
+// machine-checked rules. The tree is loaded with go/parser and type-checked
+// with go/types over importer.ForCompiler(..., "source", ...); there are no
+// dependencies outside the standard library.
 //
 // Each Analyzer encodes one repo invariant (see docs/lint.md for the
 // catalogue and the prose each rule mechanizes). Diagnostics are suppressed

@@ -6,18 +6,16 @@ import (
 )
 
 // LockedOracle flags scheduler-yielding operations inside mutex-locked
-// regions: calls to ts.Funnel.Next (which may open the combining
-// window and Gosched), runtime.Gosched, time.Sleep, and channel sends,
-// receives or selects, performed after a sync.Mutex/RWMutex Lock/RLock (or a
-// lock on a type embedding one) with no intervening unlock on the same
-// statement path.
+// regions: runtime.Gosched, time.Sleep, and channel sends, receives or
+// selects, performed after a sync.Mutex/RWMutex Lock/RLock (or a lock on a
+// type embedding one) with no intervening unlock on the same statement path.
 //
-// This is the invariant behind the Next/NextLocked API split (ts/funnel.go):
-// a yield while engine locks are held extends every blocked transaction's
-// wait — the PR 8 convoy hazard — and the MV/L and 1V end-timestamp draws
-// happen exactly there (mv/commit.go, sv/tx.go). The PR 5 bug class
+// A yield while engine locks are held extends every blocked transaction's
+// wait — a lock convoy — and the MV/L and 1V end-timestamp draws happen
+// exactly there (mv/commit.go, sv/tx.go). The commit-order bug class
 // (releasing locks before the draw) becomes this rule's mirror image: once
 // the draw must sit inside the locked region, the region must not yield.
+// The draw itself is one fetch-and-add (ts.Oracle.Next) and never yields.
 //
 // The analysis is a per-function, path-insensitive sequential scan:
 //   - Lock/RLock raises the lock depth, Unlock/RUnlock lowers it; a
@@ -26,12 +24,9 @@ import (
 //     locks and returns does not poison the fallthrough path).
 //   - Function literals are scanned at depth zero: a closure's execution
 //     context is unknown, so only its own locking is checked.
-//   - Functions whose contract is "called with locks held" are annotated
-//     //mvlint:locked and scanned starting at depth one (ts.Funnel.combine
-//     is the canonical case).
 var LockedOracle = &Analyzer{
 	Name: "lockedoracle",
-	Doc:  "no yield (Funnel.Next, Gosched, Sleep, channel op) inside a held mutex region",
+	Doc:  "no yield (Gosched, Sleep, channel op) inside a held mutex region",
 	Run:  runLockedOracle,
 }
 
@@ -47,11 +42,7 @@ func runLockedOracle(prog *Program, report Reporter) error {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				depth := 0
-				if hasAnnotation(funcDoc(fd), "locked") {
-					depth = 1
-				}
-				s.block(fd.Body, depth)
+				s.block(fd.Body, 0)
 			}
 		}
 	}
@@ -66,7 +57,7 @@ type lockScan struct {
 
 func (s *lockScan) flag(pos ast.Node, what string) {
 	s.report(s.prog.Position(pos.Pos()),
-		"%s inside a mutex-locked region: a yield here convoys every goroutine blocked on the lock (draw through ts.Funnel.NextLocked, or move the operation outside the locked region)", what)
+		"%s inside a mutex-locked region: a yield here convoys every goroutine blocked on the lock (move the operation outside the locked region)", what)
 }
 
 // block scans statements sequentially, threading the lock depth, and
@@ -246,8 +237,6 @@ func (s *lockScan) yieldingCall(call *ast.CallExpr) string {
 		return "runtime.Gosched"
 	case isPkgFunc(fn, "time", "Sleep"):
 		return "time.Sleep"
-	case isMethodOn(fn, []string{"Next"}, "Funnel", "internal/ts"):
-		return "ts.Funnel." + fn.Name() + " (window-opening draw)"
 	}
 	return ""
 }

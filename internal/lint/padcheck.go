@@ -14,11 +14,11 @@ import (
 // 32-bit targets).
 //
 // These are the prose claims of gc/pins.go ("padded to a cache line so
-// neighbouring pins don't false-share"), txn/table.go ("the 64 shard minima
-// don't false-share when OldestBegin sweeps them") and ts/funnel.go's
-// counter block, checked against go/types' real field offsets for the
-// compilation target. A refactor that inserts a field and silently shifts
-// the padding now fails the build instead of quietly costing a cache line.
+// neighbouring pins don't false-share") and txn/table.go ("the 64 shard
+// minima don't false-share when OldestBegin sweeps them"), checked against
+// go/types' real field offsets for the compilation target. A refactor that
+// inserts a field and silently shifts the padding now fails the build
+// instead of quietly costing a cache line.
 //
 // Caveat: Go's allocator guarantees 8/16-byte alignment, not 64 — the
 // checks enforce the *relative* separation of hot words, which is what the

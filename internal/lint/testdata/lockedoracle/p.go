@@ -6,33 +6,12 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"repro/internal/ts"
 )
 
 type engine struct {
-	mu     sync.Mutex
-	rw     sync.RWMutex
-	funnel *ts.Funnel
-	ch     chan int
-}
-
-// convoyDraw reconstructs the PR 8 hazard: the end-timestamp draw under the
-// commit lock goes through Next, which may open the combining window and
-// yield while every other committer is blocked on mu.
-func (e *engine) convoyDraw() uint64 {
-	e.mu.Lock()
-	end := e.funnel.Next() // want "Funnel.Next .window-opening draw. inside a mutex-locked region"
-	e.mu.Unlock()
-	return end
-}
-
-// lockedDraw is the fixed form: NextLocked never opens the window.
-func (e *engine) lockedDraw() uint64 {
-	e.mu.Lock()
-	end := e.funnel.NextLocked()
-	e.mu.Unlock()
-	return end
+	mu sync.Mutex
+	rw sync.RWMutex
+	ch chan int
 }
 
 func (e *engine) sleepUnderLock() {
@@ -107,14 +86,6 @@ func (e *engine) spawns() {
 		time.Sleep(time.Millisecond) // new goroutine: fine
 	}()
 	e.mu.Unlock()
-}
-
-// drainLocked is called with e.mu held (the ts.Funnel.combine pattern):
-// the annotation starts the scan at depth one.
-//
-//mvlint:locked
-func (e *engine) drainLocked() {
-	runtime.Gosched() // want "runtime.Gosched inside a mutex-locked region"
 }
 
 type stagingLog struct {

@@ -67,14 +67,9 @@ func (tx *Tx) CommitTS() (uint64, error) {
 	}
 
 	// Precommit: acquire the end timestamp and enter the Preparing state.
-	// The draw goes through the combining funnel — concurrent committers
-	// share one fetch-and-add — which preserves the lock-ordering argument
-	// below because the funnel linearizes each draw inside its own call: a
-	// transaction our locks delay cannot enter the funnel (let alone share a
-	// batch with us) until its wait drains, which happens only after this
-	// draw returns. See ts.Funnel. Pessimistic committers are holding read,
-	// bucket and range locks here, so they take the no-yield path; lockless
-	// optimistic committers may open the combining window.
+	// The draw is one fetch-and-add on the oracle; it never yields, so
+	// pessimistic committers take it while still holding their read, bucket
+	// and range locks (see the release below).
 	// The state flip precedes the draw, and the order is load-bearing. The
 	// visibility code treats a writer observed Active as "its end timestamp,
 	// whenever it is drawn, will exceed my read time" — true only if the
@@ -87,15 +82,10 @@ func (tx *Tx) CommitTS() (uint64, error) {
 	// concurrent serializable validator saw state Active on an inserter
 	// already holding a smaller end timestamp, concluded "no phantom
 	// possible", and committed a scan that missed the insert — a phantom in
-	// end-timestamp order that TestFunnelHistorySerializable catches at
+	// end-timestamp order that TestHistorySerializableMultiCore catches at
 	// GOMAXPROCS >= 4.
 	tx.T.SetState(txn.Preparing)
-	var end uint64
-	if !tx.tookLocks && len(tx.bucketLocks) == 0 && len(tx.rangeLocks) == 0 {
-		end = tx.e.funnel.Next()
-	} else {
-		end = tx.e.funnel.NextLocked()
-	}
+	end := tx.e.oracle.Next()
 	tx.T.SetEnd(end)
 
 	// End of normal processing: release read locks, bucket locks and range

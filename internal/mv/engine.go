@@ -111,9 +111,6 @@ type Stats struct {
 type Engine struct {
 	cfg    Config
 	oracle ts.Oracle
-	// funnel combines concurrent oracle draws (transaction IDs, end
-	// timestamps) into shared fetch-and-adds; see ts.Funnel.
-	funnel *ts.Funnel
 	txns   *txn.Table
 	gc     *gc.Collector
 	blt    *storage.BucketLockTable
@@ -210,7 +207,6 @@ func NewEngine(cfg Config) *Engine {
 		blt:    storage.NewBucketLockTable(),
 		tables: make(map[string]*storage.Table),
 	}
-	e.funnel = ts.NewFunnel(&e.oracle)
 	e.pins.Init(0) // the pin table self-sizes from runtime.NumCPU
 	e.nodeEpoch.Init(0)
 	e.gc = gc.NewCollector(func() uint64 {
@@ -299,12 +295,6 @@ func (e *Engine) LoadRow(t *storage.Table, payload []byte) {
 // Oracle exposes the timestamp oracle (tests and diagnostics).
 func (e *Engine) Oracle() *ts.Oracle { return &e.oracle }
 
-// FunnelStats returns the oracle combining funnel's counters: every
-// transaction-ID and end-timestamp draw flows through the funnel, so
-// Physical is the engine's total oracle fetch-and-add count (excluding bulk
-// loads and recovery).
-func (e *Engine) FunnelStats() ts.FunnelStats { return e.funnel.Stats() }
-
 // PinTableOverflows returns how many reader-pin acquisitions found the
 // striped pin table full (each fell back to a watermark-visible slow path,
 // e.g. registration for read-only begins).
@@ -349,7 +339,7 @@ func (e *Engine) Stats() Stats {
 //
 //mvlint:noalloc
 func (e *Engine) Begin(scheme Scheme, iso Isolation) *Tx {
-	id := e.funnel.Next()
+	id := e.oracle.Next()
 	tx := e.getTx(id, id, scheme, iso)
 	e.txns.Register(tx.T)
 	return tx

@@ -51,12 +51,9 @@ type Stats struct {
 type Engine struct {
 	cfg   Config
 	txSeq atomic.Uint64
-	// endSeq orders committed writers; draws go through endFunnel so
-	// committers whose locked regions overlap in time share one
-	// fetch-and-add (the draw still happens while all 2PL locks are held —
-	// the funnel linearizes it inside the call; see ts.Funnel).
-	endSeq    ts.Oracle
-	endFunnel *ts.Funnel
+	// endSeq orders committed writers: each draws once, while all its 2PL
+	// locks are held (see Tx.CommitTS).
+	endSeq ts.Oracle
 
 	tablesMu sync.RWMutex
 	tables   map[string]*Table
@@ -96,7 +93,6 @@ func NewEngine(cfg Config) *Engine {
 		cfg.ReclaimQuota = 256
 	}
 	e := &Engine{cfg: cfg, tables: make(map[string]*Table)}
-	e.endFunnel = ts.NewFunnel(&e.endSeq)
 	e.nodeEpoch.Init(0)
 	return e
 }
@@ -153,11 +149,6 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) Counters() (txSeq, endSeq uint64) {
 	return e.txSeq.Load(), e.endSeq.Current()
 }
-
-// FunnelStats returns the end-sequence combining funnel's counters.
-// Physical is the number of fetch-and-adds actually issued on the shared
-// end-sequence counter.
-func (e *Engine) FunnelStats() ts.FunnelStats { return e.endFunnel.Stats() }
 
 // PinTableOverflows reports how many node-epoch pin acquisitions found every
 // reader-pin slot occupied (each such entry took the slow registered path).

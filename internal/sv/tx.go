@@ -571,14 +571,11 @@ func (tx *Tx) CommitTS() (uint64, error) {
 		tx.e.maybeReclaim()
 		return 0, nil
 	}
-	// The draw goes through the combining funnel while every 2PL lock is
-	// still held (they release in releaseAll below): committers whose
-	// locked regions are disjoint are serialized by those locks and reach
-	// the funnel strictly after the earlier one's draw returned, so sharing
-	// a fetch-and-add never reorders the commit sequence across a lock
-	// release. NextLocked because of exactly those held locks: the funnel
-	// must not yield inside our locked region. See ts.Funnel.
-	endTS := tx.e.endFunnel.NextLocked()
+	// The end sequence is drawn while every 2PL lock is still held (they
+	// release in releaseAll below): a committer our locks delayed draws
+	// strictly after this draw returned, so the commit sequence never
+	// reorders across a lock release.
+	endTS := tx.e.endSeq.Next()
 	if tx.e.cfg.Log != nil && len(tx.writes) > 0 {
 		rec := &wal.Record{TxID: tx.id, EndTS: endTS, Ops: tx.writes}
 		if err := tx.e.cfg.Log.Append(rec); err != nil {

@@ -17,17 +17,10 @@ type Oracle struct {
 	counter atomic.Uint64
 }
 
-// Next atomically draws the next timestamp.
+// Next atomically draws the next timestamp. The draw linearizes inside the
+// call and never yields, so a committer may draw while holding its locks.
 func (o *Oracle) Next() uint64 {
 	return o.counter.Add(1)
-}
-
-// NextN atomically reserves n consecutive timestamps and returns the first.
-// A single fetch-and-add amortizes the shared-counter touch over a whole
-// batch of concurrent draws (Funnel hands out start..start+n-1, one per
-// enrolled request).
-func (o *Oracle) NextN(n uint64) uint64 {
-	return o.counter.Add(n) - n + 1
 }
 
 // Current returns the most recently drawn timestamp. It is used as the
@@ -50,4 +43,21 @@ func (o *Oracle) AdvanceTo(v uint64) {
 			return
 		}
 	}
+}
+
+// Funnel is the Oracle. The name exists only for the benchmark module
+// (benchmark/probes.go); ROADMAP item 1(f) drops it there, then here.
+type Funnel = Oracle
+
+// NewFunnel returns o. It exists only for the benchmark module
+// (benchmark/probes.go); ROADMAP item 1(f) drops it there, then here.
+func NewFunnel(o *Oracle) *Funnel { return o }
+
+// FunnelStats counts oracle draws. Every draw is one fetch-and-add, so Draws
+// and Physical both hold the counter's current value; callers take deltas.
+// The type exists for the benchmark module (benchmark/report.go); ROADMAP
+// item 1(f) renames it.
+type FunnelStats struct {
+	Draws    uint64
+	Physical uint64
 }

@@ -81,50 +81,3 @@ func TestAdvanceTo(t *testing.T) {
 		t.Fatalf("Next after AdvanceTo = %d, want 101", n)
 	}
 }
-
-func TestNextN(t *testing.T) {
-	var o Oracle
-	first := o.NextN(10)
-	if first != 1 {
-		t.Fatalf("first block starts at %d, want 1", first)
-	}
-	if o.Current() != 10 {
-		t.Fatalf("Current = %d after NextN(10), want 10", o.Current())
-	}
-	if n := o.Next(); n != 11 {
-		t.Fatalf("Next after block = %d, want 11", n)
-	}
-	second := o.NextN(5)
-	if second != 12 {
-		t.Fatalf("second block starts at %d, want 12", second)
-	}
-}
-
-func TestNextNConcurrentBlocksDisjoint(t *testing.T) {
-	var o Oracle
-	const workers = 8
-	const blocks = 200
-	const blockN = 7
-	starts := make(chan uint64, workers*blocks)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < blocks; i++ {
-				starts <- o.NextN(blockN)
-			}
-		}()
-	}
-	wg.Wait()
-	close(starts)
-	seen := make(map[uint64]bool)
-	for s := range starts {
-		for i := uint64(0); i < blockN; i++ {
-			if seen[s+i] {
-				t.Fatalf("timestamp %d issued twice", s+i)
-			}
-			seen[s+i] = true
-		}
-	}
-}

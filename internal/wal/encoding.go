@@ -53,10 +53,11 @@ func EncodeRecord(buf []byte, r *Record) []byte {
 var ErrCorrupt = errors.New("wal: corrupt record")
 
 // Segment header (optional, versioned): 8 magic bytes and a little-endian
-// u32 format version. Streams produced before the header existed start
-// directly with a record frame; the reader auto-detects both, so old logs
-// still decode. Detection is unambiguous — the magic's first four bytes,
-// read as a frame length, exceed maxFrame by orders of magnitude.
+// u32 format version. ckpt.Store starts every segment with it; a Log writing
+// to any other sink emits bare record frames, and recovery.Replay reads such
+// streams. The reader auto-detects both formats. Detection is unambiguous —
+// the magic's first four bytes, read as a frame length, exceed maxFrame by
+// orders of magnitude.
 const (
 	segMagic = "MVWALSEG"
 	// SegmentVersion is the current segment format version.
@@ -98,8 +99,8 @@ func NewReader(r io.Reader) *Reader {
 // Truncated returns the number of torn trailing bytes discarded so far.
 func (d *Reader) Truncated() int64 { return d.truncated }
 
-// Version returns the stream's segment format version (0 for headerless
-// legacy streams); valid after the first Next call.
+// Version returns the stream's segment format version (0 for a headerless
+// stream of bare frames); valid after the first Next call.
 func (d *Reader) Version() uint32 { return d.version }
 
 // start consumes the optional segment header. It reports (false, err) when
@@ -121,7 +122,7 @@ func (d *Reader) start() (bool, error) {
 		return false, err
 	}
 	if string(d.hdr[:4]) != segMagic[:4] {
-		return true, nil // legacy headerless stream; hdr[:4] is a frame length
+		return true, nil // headerless stream of bare frames; hdr[:4] is a frame length
 	}
 	n, err = io.ReadFull(d.r, d.hdr[4:])
 	if err == io.EOF || err == io.ErrUnexpectedEOF {

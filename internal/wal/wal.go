@@ -8,9 +8,9 @@
 // The experimental configuration of the paper (Section 5) writes log records
 // asynchronously with group commit: transactions do not wait for log I/O,
 // and records are submitted in batches, which is how the evaluation isolates
-// concurrency-control effects from I/O. That is the default mode here; a
-// synchronous mode that waits for the flush is available for durability
-// experiments.
+// concurrency-control effects from I/O. That is the default level here
+// (Async); the Flush and Fsync durability levels make Append wait until its
+// batch is written, or written and fsynced.
 package wal
 
 import (
