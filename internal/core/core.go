@@ -321,9 +321,11 @@ func (db *Database) Stats() Stats {
 }
 
 // LogStats returns the write-ahead log's activity counters — appended and
-// flushed records, batches, bytes, and fsyncs issued (the group-commit
-// amortization ratio is Appended/Syncs). Zero-valued when the database was
-// opened without a log sink.
+// flushed records, batches, bytes, fsyncs issued (the group-commit
+// amortization ratio is Appended/Syncs) and the total time the flusher spent
+// in them (SyncNanos/Syncs is the mean fsync, the unit a durable commit's
+// latency is measured against). Zero-valued when the database was opened
+// without a log sink.
 func (db *Database) LogStats() wal.LogStats {
 	if db.log == nil {
 		return wal.LogStats{}

@@ -72,7 +72,9 @@ func (s *syncSink) counts() (written, synced, syncs int) {
 }
 
 func TestFsyncDurabilityAcks(t *testing.T) {
-	sink := &syncSink{}
+	// The first waiter's fsync takes a millisecond, so the other committers
+	// pile up behind it and share the next ones.
+	sink := &syncSink{delay: time.Millisecond}
 	l := Open(Config{Sink: sink, Durability: Fsync, BatchSize: 8})
 	var wg sync.WaitGroup
 	const n = 64

@@ -1,10 +1,12 @@
 package wal
 
-// Tests for the staging-batch pipeline: the flush policy (the tick keeps its
-// cadence across a flush, a Flush call does not wait for it, every commit
-// staged between two ticks shares one fsync), the acknowledgement contract at
-// Fsync (durable before return, this batch's outcome and never the global
-// latch), backpressure on a full batch, and the allocation-free Async append.
+// Tests for the staging-batch pipeline: the flush policy (a waiting committer
+// makes its batch due, Async records ride the tick and BatchSize, the tick
+// keeps its cadence across a flush, a Flush call does not wait for it, every
+// commit staged during an fsync shares the next one), the acknowledgement
+// contract at Fsync (durable before return, this batch's outcome and never the
+// global latch), backpressure on a full batch, and the allocation-free Async
+// append.
 
 import (
 	"errors"
@@ -14,41 +16,106 @@ import (
 	"time"
 )
 
-// The tick keeps its cadence: one that fires while the flusher is inside a
-// write is kept, so the batch staged meanwhile goes out as soon as the flusher
-// is free instead of a full interval after the previous flush ended. With the
-// re-armed timer this replaced, a commit waited out two ticks where one was
-// due.
-func TestStagingTickDuringFlushIsKept(t *testing.T) {
-	const interval = 200 * time.Millisecond
-	sink := &gateSink{entered: make(chan struct{}, 4), gate: make(chan struct{})}
-	l := Open(Config{Sink: sink, Durability: Flush, FlushInterval: interval})
-	first := make(chan error, 1)
-	go func() { first <- l.Append(testRecord(1, 1)) }()
-	<-sink.entered // the first tick has batch 1 inside Write
-	second := make(chan error, 1)
-	go func() { second <- l.Append(testRecord(2, 2)) }()
-	time.Sleep(interval + interval/4) // a tick fires with the flusher still busy
-	close(sink.gate)
-	for _, ack := range []chan error{first, second} {
-		select {
-		case err := <-ack:
-			if err != nil {
+// A committer that waits makes its batch due: with the tick an hour away, one
+// Append at Flush or Fsync returns at once, its bytes written (and synced at
+// Fsync) by one batch.
+func TestStagingWaiterKicksFlusher(t *testing.T) {
+	for _, level := range []Durability{Flush, Fsync} {
+		t.Run(level.String(), func(t *testing.T) {
+			sink := &syncSink{}
+			l := Open(Config{Sink: sink, Durability: level, FlushInterval: time.Hour})
+			acked := make(chan error, 1)
+			go func() { acked <- l.Append(testRecord(1, 1)) }()
+			select {
+			case err := <-acked:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a waiting Append sat out the tick")
+			}
+			written, synced, _ := sink.counts()
+			if written == 0 || (level == Fsync) != (synced == written) {
+				t.Fatalf("at %v: written=%d synced=%d", level, written, synced)
+			}
+			if st := l.Stats(); st.Batches != 1 {
+				t.Fatalf("batches=%d, want 1", st.Batches)
+			}
+			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-		case <-time.After(interval / 2):
-			t.Fatal("the batch staged during a flush waited for a tick after it")
+		})
+	}
+}
+
+// Async records do not wake the flusher: with the tick an hour away they stay
+// staged until a Flush call or the BatchSize crossing.
+func TestStagingAsyncRidesTheTick(t *testing.T) {
+	sink := &syncSink{}
+	l := Open(Config{Sink: sink, BatchSize: 4, FlushInterval: time.Hour})
+	appendN := func(from, to uint64) {
+		for i := from; i <= to; i++ {
+			if err := l.Append(testRecord(i, i)); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	appendN(1, 3)
+	time.Sleep(20 * time.Millisecond)
+	if st := l.Stats(); st.Flushed != 0 {
+		t.Fatalf("flushed=%d before Flush, BatchSize or the tick", st.Flushed)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Flushed != 3 {
+		t.Fatalf("flushed=%d after Flush, want 3", st.Flushed)
+	}
+	appendN(4, 7) // the fourth record of the new batch reaches BatchSize
+	deadline := time.Now().Add(5 * time.Second)
+	for l.Stats().Flushed != 7 {
+		if time.Now().After(deadline) {
+			t.Fatalf("flushed=%d: the full batch waited for the tick", l.Stats().Flushed)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// A Flush call makes the staged batch due at once, waiters included: it does
-// not wait for the tick.
+// The tick keeps its cadence: one that fires while the flusher is inside a
+// write is kept, so the Async batch staged meanwhile goes out as soon as the
+// flusher is free instead of a full interval after the previous flush ended,
+// as it would with a timer re-armed after each flush.
+func TestStagingTickDuringFlushIsKept(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	sink := &gateSink{entered: make(chan struct{}, 4), gate: make(chan struct{})}
+	l := Open(Config{Sink: sink, FlushInterval: interval})
+	if err := l.Append(testRecord(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	<-sink.entered // the first tick has batch 1 inside Write
+	if err := l.Append(testRecord(2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(interval + interval/4) // a tick fires with the flusher still busy
+	close(sink.gate)
+	select {
+	case <-sink.entered:
+	case <-time.After(interval / 2):
+		t.Fatal("the batch staged during a flush waited for a tick after it")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Flush returns only once the batch staged before the call — another
+// appender's record included — is written and fsynced; it does not wait for
+// the tick.
 func TestStagingFlushCallDoesNotWaitForTick(t *testing.T) {
-	sink := &syncSink{}
+	sink := &syncSink{delay: 20 * time.Millisecond}
 	l := Open(Config{Sink: sink, Durability: Fsync, FlushInterval: time.Hour})
 	acked := make(chan error, 1)
 	go func() { acked <- l.Append(testRecord(1, 1)) }()
@@ -58,6 +125,9 @@ func TestStagingFlushCallDoesNotWaitForTick(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if !sink.durable(1) {
+		t.Fatal("Flush returned before the staged record's fsync")
+	}
 	select {
 	case err := <-acked:
 		if err != nil {
@@ -65,9 +135,6 @@ func TestStagingFlushCallDoesNotWaitForTick(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Flush returned with the staged record's appender still waiting")
-	}
-	if !sink.durable(1) {
-		t.Fatal("append acknowledged before its fsync")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -126,11 +193,12 @@ func TestStagingDurableBeforeReturn(t *testing.T) {
 	}
 }
 
-// Group commit: every committer that stages its record between two ticks
-// shares one write and one fsync. With the fsync slower than the tick, the
-// tick kept during a flush fires the moment the flusher is free, before all
-// 16 committers have been rescheduled, so a round may split in two (measured
-// 8.2 to 10.5 per fsync); the bound leaves room for that and for the ramp-up.
+// Group commit: every committer that stages its record while an fsync runs
+// shares the next write and fsync. The flusher starts that batch the moment
+// the previous fsync ends, so the 16 committers settle into two cohorts that
+// take turns, each joining the batch the other's fsync leaves open (measured
+// 8.0 per fsync); the bound leaves room for the ramp-up. The same loop
+// checks that the flusher times its fsyncs: SyncNanos covers every delay.
 func TestStagingGroupCommit(t *testing.T) {
 	sink := &syncSink{delay: 2 * time.Millisecond}
 	l := Open(Config{Sink: sink, Durability: Fsync})
@@ -148,6 +216,9 @@ func TestStagingGroupCommit(t *testing.T) {
 	}
 	if perSync := float64(st.Appended) / float64(st.Syncs); perSync < 6 {
 		t.Fatalf("%d records over %d fsyncs = %.1f per fsync, want 8 or more", st.Appended, st.Syncs, perSync)
+	}
+	if floor := st.Syncs * uint64(sink.delay); st.SyncNanos < floor {
+		t.Fatalf("SyncNanos=%d over %d fsyncs of %v each, want at least %d", st.SyncNanos, st.Syncs, sink.delay, floor)
 	}
 }
 

@@ -106,10 +106,9 @@ type Config struct {
 	// BatchSize is the number of staged records at which a batch is flushed
 	// without waiting for the tick.
 	BatchSize int
-	// FlushInterval is the flusher's tick: it bounds how long a record may
-	// sit unflushed, and at Flush/Fsync durability it is the group-commit
-	// window — every commit staged between two ticks shares one write and
-	// one fsync.
+	// FlushInterval is the flusher's tick: it bounds how long an Async
+	// record may sit unflushed. At Flush/Fsync durability no commit waits
+	// for it — the first waiter of a batch makes the batch due.
 	FlushInterval time.Duration
 	// BufferedRecords bounds the staging batch; Append blocks while it is
 	// full (natural backpressure at extreme rates).
@@ -123,6 +122,9 @@ type LogStats struct {
 	Batches  uint64 // group-commit batches written
 	Bytes    uint64 // bytes handed to the sink
 	Syncs    uint64 // per-batch sink fsyncs (Fsync durability only)
+	// SyncNanos is the total time the flusher spent inside the sink's Sync,
+	// timed off the committers' path; SyncNanos/Syncs is the mean fsync.
+	SyncNanos uint64
 }
 
 // Log is a group-commit redo log built on one double-buffered staging batch:
@@ -141,6 +143,7 @@ type Log struct {
 	spare   []byte // the other buffer; the flusher owns it while it writes
 	recs    int
 	forced  bool   // a Flush call has made pending due and kicked the flusher for it
+	waited  bool   // a Flush/Fsync appender waits on pending: it is due and the flusher was kicked
 	seq     uint64 // sequence number of pending; batches count from 1
 	doneSeq uint64 // outcomes of all batches <= doneSeq are published
 	failSeq uint64 // first failed batch: it and every later one got err; 0 while err is nil
@@ -216,10 +219,14 @@ func (l *Log) Append(r *Record) error {
 	l.pending = EncodeRecord(l.pending, r)
 	l.recs++
 	l.stats.Appended++
-	// Wake the flusher once per BatchSize crossing, not once per record — with
-	// mu released, because the kick is a channel operation. The tick covers a
-	// batch that never gets there.
+	// Wake the flusher when the first waiter joins the batch and at the
+	// BatchSize crossing, not once per record — with mu released, because the
+	// kick is a channel operation. The tick covers an Async batch that never
+	// gets there.
 	seq, due := l.seq, l.recs == l.cfg.BatchSize
+	if l.cfg.Durability != Async && !l.waited {
+		l.waited, due = true, true
+	}
 	l.mu.Unlock()
 	if due {
 		l.wake()
@@ -306,14 +313,15 @@ func (l *Log) Err() error {
 	return l.err
 }
 
-// run is the flusher. A batch is due on the tick, when it has reached
-// BatchSize, when a Flush call asks for it, or when the log is closing —
-// the same at every durability level: a commit that waits for its batch
-// waits for the next tick, so under load the commit rate follows the clock
-// and not the device's fsync latency from one moment to the next. The tick
-// is a Ticker, not a timer re-armed after each flush: its cadence does not
-// stretch by the time a flush takes, and a tick that fires during a flush is
-// kept, so the batch staged meanwhile goes out as soon as the flusher is free.
+// run is the flusher. A batch is due as soon as an appender waits on it
+// (Flush/Fsync durability), when it has reached BatchSize, when a Flush call
+// asks for it, when the log is closing, or on the tick. The flusher keeps
+// looping while the batch staged during its last write has a waiter, so a
+// durable commit waits for at most the write and fsync in progress plus its
+// own, and every commit staged meanwhile shares that one fsync. The tick
+// only paces Async records: it is a Ticker, not a timer re-armed after each
+// flush, so its cadence does not stretch by the time a flush takes, and a
+// tick that fires during a flush is kept.
 func (l *Log) run() {
 	defer close(l.done)
 	ticker := time.NewTicker(l.cfg.FlushInterval)
@@ -326,7 +334,7 @@ func (l *Log) run() {
 			tick = true
 		}
 		l.mu.Lock()
-		for l.recs > 0 && (tick || l.forced || l.recs >= l.cfg.BatchSize || l.closed) {
+		for l.recs > 0 && (tick || l.forced || l.waited || l.recs >= l.cfg.BatchSize || l.closed) {
 			tick = false
 			l.flushPending()
 		}
@@ -344,7 +352,7 @@ func (l *Log) run() {
 func (l *Log) flushPending() {
 	buf, n, seq := l.pending, l.recs, l.seq
 	l.pending, l.spare = l.spare[:0], buf
-	l.recs, l.forced = 0, false
+	l.recs, l.forced, l.waited = 0, false, false
 	l.seq++
 	err := l.err
 	if n >= l.cfg.BufferedRecords {
@@ -357,13 +365,15 @@ func (l *Log) flushPending() {
 	// the error (the fsyncgate semantics), so a later "successful" fsync
 	// would prove nothing about the lost bytes; retrying just converts data
 	// loss into silent data loss.
-	synced := false
+	synced, syncTime := false, time.Duration(0)
 	if err == nil {
 		if l.cfg.Sink != nil {
 			_, err = l.cfg.Sink.Write(buf)
 		}
 		if err == nil && l.syncer != nil {
+			start := time.Now()
 			err = l.syncer.Sync()
+			syncTime = time.Since(start)
 			synced = err == nil
 		}
 	}
@@ -374,6 +384,7 @@ func (l *Log) flushPending() {
 	l.stats.Flushed += uint64(n)
 	l.stats.Batches++
 	l.stats.Bytes += uint64(len(buf))
+	l.stats.SyncNanos += uint64(syncTime)
 	if synced {
 		l.stats.Syncs++
 	}
