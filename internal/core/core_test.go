@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/wal"
 )
@@ -128,6 +131,7 @@ func TestBankTransferInvariant(t *testing.T) {
 				db.LoadRow(tbl, pay(i, initial))
 			}
 			var wg sync.WaitGroup
+			var gaveUp atomic.Int64
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
@@ -138,11 +142,16 @@ func TestBankTransferInvariant(t *testing.T) {
 						if from == to {
 							continue
 						}
-						transferOnce(db, tbl, from, to, 1)
+						if !transferOnce(db, tbl, from, to, 1) {
+							gaveUp.Add(1)
+						}
 					}
 				}(w)
 			}
 			wg.Wait()
+			if n := gaveUp.Load(); n != 0 {
+				t.Fatalf("%d transfers never committed", n)
+			}
 			// Sum must be unchanged.
 			tx := db.Begin(WithIsolation(Serializable))
 			var total uint64
@@ -163,9 +172,15 @@ func TestBankTransferInvariant(t *testing.T) {
 	}
 }
 
-// transferOnce retries until the transfer commits.
-func transferOnce(db *Database, tbl *Table, from, to uint64, amount uint64) {
+// transferOnce retries until the transfer commits and reports whether it did
+// within 100 attempts. Each retry first sleeps a random, growing backoff:
+// two transfers that read-then-update each other's rows deadlock on their
+// lock upgrades, and retrying at once walks both straight back into it.
+func transferOnce(db *Database, tbl *Table, from, to uint64, amount uint64) bool {
 	for attempt := 0; attempt < 100; attempt++ {
+		if attempt > 0 {
+			time.Sleep(time.Duration(rand.Intn(200<<(attempt%8))) * time.Microsecond)
+		}
 		tx := db.Begin(WithIsolation(Serializable))
 		ok := func() bool {
 			fromRow, found, err := tx.Lookup(tbl, 0, from, nil)
@@ -193,9 +208,10 @@ func transferOnce(db *Database, tbl *Table, from, to uint64, amount uint64) {
 			continue
 		}
 		if err := tx.Commit(); err == nil {
-			return
+			return true
 		}
 	}
+	return false
 }
 
 func TestMixedSchemesViaOptions(t *testing.T) {

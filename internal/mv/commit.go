@@ -58,8 +58,12 @@ func (tx *Tx) CommitTS() (uint64, error) {
 	// NoMoreWaitFors so no new ones can be installed. The deadlock detector
 	// may break this wait by setting AbortNow. Read, bucket and range locks
 	// are still held here: a blocked holder is a detector node, its waiters
-	// have explicit edges, and versions it read-locked contribute the
+	// have explicit edges, and the read-lock list, published here and left
+	// untouched until releaseAllReadLocks withdraws it, contributes the
 	// implicit edges, so any cycle this creates is found and broken.
+	if len(tx.readLocks) > 0 {
+		tx.T.PublishReadLocks(tx.readLocks)
+	}
 	if err := tx.T.WaitWaitFors(); err != nil {
 		tx.e.cascadingAborts.Add(1)
 		tx.abortInternal()
@@ -92,21 +96,21 @@ func (tx *Tx) CommitTS() (uint64, error) {
 	// locks — strictly AFTER the end timestamp draw. The order is
 	// load-bearing for "serializable in end-timestamp order": every
 	// transaction our locks delayed (an eager updater of a version we
-	// read-locked, an inserter into a range or bucket we scan-locked)
-	// acquires its end timestamp only after its wait drains, and the wait
-	// drains only here, so its end timestamp exceeds ours and our reads
-	// stay valid as of our own end. Releasing before the draw (the previous
-	// order) left a window in which the delayed writer won the oracle race
-	// and serialized BEFORE the scan it was delayed by — a phantom in
-	// commit order that the range-aware history checker
+	// read-locked; an inserter, updater or deleter of a key in a range or
+	// bucket we scan-locked) acquires its end timestamp only after its wait
+	// drains, and the wait drains only here, so its end timestamp exceeds
+	// ours and our reads stay valid as of our own end. Releasing before the
+	// draw (the previous order) left a window in which the delayed writer
+	// won the oracle race and serialized BEFORE the scan it was delayed by —
+	// a phantom in commit order that the range-aware history checker
 	// (check.ValidateIndexed, TestRangeHistorySerializable) detects.
 	// Purely optimistic transactions hold no locks.
 	tx.releaseAllReadLocks()
 	tx.releaseBucketLocks()
 	tx.releaseRangeLocks()
 
-	// Release outgoing wait-for dependencies: transactions that inserted
-	// into our locked buckets (or whose commits we delayed for phantom
+	// Release outgoing wait-for dependencies: transactions that wrote keys
+	// under our scan locks (or whose commits we delayed for phantom
 	// protection) may now precommit (Section 4.2.2).
 	tx.T.ReleaseWaiters(tx.e.txns)
 
@@ -212,7 +216,7 @@ func (tx *Tx) CommitTS() (uint64, error) {
 // Optimistic repeatable-read/serializable readers do not: validation
 // compares against an end timestamp (Section 3.2).
 func (tx *Tx) fastCommittable() bool {
-	if len(tx.writeSet) > 0 || tx.tookLocks || len(tx.bucketLocks) > 0 || len(tx.rangeLocks) > 0 {
+	if len(tx.writeSet) > 0 || len(tx.readLocks) > 0 || len(tx.bucketLocks) > 0 || len(tx.rangeLocks) > 0 {
 		return false
 	}
 	if tx.scheme == Optimistic && (tx.iso == RepeatableRead || tx.iso == Serializable) {

@@ -18,7 +18,8 @@ type detectorSource struct {
 // transactions blocked on wait-for dependencies, explicit edges from
 // WaitingTxnLists, and implicit edges from read-locked versions (a wait-for
 // dependency on a read-locked version stands for dependencies on every
-// transaction holding a read lock on it, recovered from read sets).
+// transaction holding a read lock on it, recovered from the read-lock lists
+// transactions publish before they wait).
 //
 // The walk is epoch-pinned: a reader pin taken before the table iteration
 // keeps the GC watermark below every transaction observed during the walk
@@ -36,9 +37,12 @@ func (s *detectorSource) Snapshot(g *deadlock.Graph) {
 		defer e.pins.Release(slot)
 	}
 
-	// Step 1: nodes are transactions that completed normal processing and
-	// are blocked by wait-for dependencies. Usually there are none, and the
-	// pass ends here having allocated nothing.
+	// Step 1: nodes are transactions with a positive wait-for counter
+	// (Blocked). Some may still be in normal processing and have published
+	// no read locks yet; that is harmless, because a transaction that is not
+	// waiting cannot close a deadlock, and one waiting in WaitWaitFors has
+	// published its list. Usually there are no nodes, and the pass ends here
+	// having allocated nothing.
 	blocked := s.blocked[:0]
 	e.txns.ForEach(func(t *txn.Txn) {
 		if t.Blocked() {
@@ -53,13 +57,13 @@ func (s *detectorSource) Snapshot(g *deadlock.Graph) {
 		for _, wid := range t.Waiters() {
 			g.AddEdge(wid, t.ID())
 		}
-		// Step 3: implicit dependencies. If a version read-locked by t is
-		// write locked by a blocked transaction T2, T2 waits for t's lock
-		// release — unless T2 is t itself. A read-then-update of one row
-		// leaves t holding both locks on the version until precommit, when
-		// releaseSelfWriteReadLocks drains the dependency; a self-edge here
-		// would turn that transient into a one-node "cycle" and abort a
-		// perfectly healthy transaction.
+		// Step 3: implicit dependencies, from t's published read-lock list.
+		// If a version read-locked by t is write locked by another
+		// transaction T2, T2 waits for t's lock release. t publishes after
+		// releaseSelfWriteReadLocks, so the list holds no version t itself
+		// write-locked; the writer check keeps it that way regardless, since
+		// a self-edge would be a one-node "cycle" aborting a healthy
+		// transaction.
 		for _, v := range t.SnapshotReadLocks() {
 			w := v.End()
 			if field.IsLock(w) && field.HasWriter(w) && field.Writer(w) != t.ID() {

@@ -139,8 +139,9 @@ func TestCooperativeDeadlockDetection(t *testing.T) {
 // A read-then-update of one row by a single transaction is not a deadlock.
 // The eager update of its own read-locked version leaves the transaction
 // with a transient wait-for dependency (drained by precommit), during which
-// the detector sees a version both read-locked by the transaction and
-// write-locked by it; that must not become a one-node cycle.
+// the transaction holds both a read lock and the write lock on the version;
+// that must not become a one-node cycle. Repeatable read is the level whose
+// reads take read locks (a serializable read rides its scan lock).
 func TestSelfReadLockUpdateNotVictimized(t *testing.T) {
 	e := NewEngine(Config{DeadlockInterval: -1})
 	t.Cleanup(func() { e.Close() })
@@ -153,8 +154,8 @@ func TestSelfReadLockUpdateNotVictimized(t *testing.T) {
 	}
 	e.LoadRow(tbl, testPayload(1, 10))
 
-	tx := e.Begin(Pessimistic, Serializable)
-	v, ok, err := tx.Lookup(tbl, 0, 1, nil) // serializable read: read-locks v
+	tx := e.Begin(Pessimistic, RepeatableRead)
+	v, ok, err := tx.Lookup(tbl, 0, 1, nil) // repeatable read: read-locks v
 	if err != nil || !ok {
 		t.Fatal("lookup failed")
 	}
@@ -174,6 +175,78 @@ func TestSelfReadLockUpdateNotVictimized(t *testing.T) {
 	mustCommit(t, tx)
 	if e.Stats().DeadlockVictims != 0 {
 		t.Fatalf("DeadlockVictims = %d, want 0", e.Stats().DeadlockVictims)
+	}
+}
+
+// TestReadLockCycleDetected: a cycle whose edges are all implicit. Two
+// repeatable-read transactions each read-lock one row, then each updates the
+// row the other read, so each owes a wait-for dependency to the other's read
+// lock. Neither has a waiter list entry: the detector sees the cycle only
+// through the read-lock lists the two publish before they wait. Exactly one
+// must fall, under the background detector and under DetectDeadlocks alike.
+func TestReadLockCycleDetected(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		interval time.Duration
+	}{{"Background", time.Millisecond}, {"Cooperative", -1}} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(Config{DeadlockInterval: c.interval})
+			t.Cleanup(func() { e.Close() })
+			tbl, err := e.CreateTable(storage.TableSpec{
+				Name:    "t",
+				Indexes: []storage.IndexSpec{{Name: "pk", Key: payloadKey, Buckets: 1 << 10}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.LoadRow(tbl, testPayload(1, 10))
+			e.LoadRow(tbl, testPayload(2, 20))
+
+			t1 := e.Begin(Pessimistic, RepeatableRead)
+			t2 := e.Begin(Pessimistic, RepeatableRead)
+			readVal(t, t1, tbl, 1)
+			readVal(t, t2, tbl, 2)
+			if err := writeVal(t, t1, tbl, 2, 21); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeVal(t, t2, tbl, 1, 11); err != nil {
+				t.Fatal(err)
+			}
+			if t1.T.WaitForCount() != 1 || t2.T.WaitForCount() != 1 {
+				t.Fatalf("wait-for counts = %d/%d, want 1/1", t1.T.WaitForCount(), t2.T.WaitForCount())
+			}
+			if len(t1.T.Waiters()) != 0 || len(t2.T.Waiters()) != 0 {
+				t.Fatal("explicit wait-for edges in a read-lock cycle")
+			}
+
+			errs := make(chan error, 2)
+			go func() { errs <- t1.Commit() }()
+			go func() { errs <- t2.Commit() }()
+			deadline := time.After(5 * time.Second)
+			var failures, successes int
+			for failures+successes < 2 {
+				select {
+				case err := <-errs:
+					if err != nil {
+						failures++
+					} else {
+						successes++
+					}
+				case <-deadline:
+					t.Fatal("read-lock deadlock not broken within 5s")
+				case <-time.After(time.Millisecond):
+					if c.interval < 0 {
+						e.DetectDeadlocks()
+					}
+				}
+			}
+			if failures != 1 || successes != 1 {
+				t.Fatalf("failures=%d successes=%d, want exactly one victim", failures, successes)
+			}
+			if v := e.Stats().DeadlockVictims; v != 1 {
+				t.Fatalf("DeadlockVictims = %d, want 1", v)
+			}
+		})
 	}
 }
 

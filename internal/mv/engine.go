@@ -360,7 +360,7 @@ func (e *Engine) getTx(id, begin uint64, scheme Scheme, iso Isolation) *Tx {
 	tx.scheme = scheme
 	tx.iso = iso
 	tx.done = false
-	tx.tookLocks = false
+	tx.updatedReadLocked = false
 	tx.readOnly = false
 	tx.pin = -1
 	return tx

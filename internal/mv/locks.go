@@ -20,7 +20,7 @@ func (tx *Tx) acquireReadLock(v *storage.Version) error {
 				return ErrReadLockFailed
 			}
 			if v.CASEnd(w, field.Lock(field.NoWriter, 1, false)) {
-				tx.recordReadLock(v)
+				tx.readLocks = append(tx.readLocks, v)
 				return nil
 			}
 			continue
@@ -44,7 +44,7 @@ func (tx *Tx) acquireReadLock(v *storage.Version) error {
 				// The writer aborted; no dependency needed, the lock word
 				// will be reset or stolen. Just take the read lock.
 				if v.CASEnd(w, field.WithReaders(w, 1)) {
-					tx.recordReadLock(v)
+					tx.readLocks = append(tx.readLocks, v)
 					return nil
 				}
 				continue
@@ -55,7 +55,7 @@ func (tx *Tx) acquireReadLock(v *storage.Version) error {
 				return ErrReadLockFailed
 			}
 			if v.CASEnd(w, field.WithReaders(w, 1)) {
-				tx.recordReadLock(v)
+				tx.readLocks = append(tx.readLocks, v)
 				return nil
 			}
 			// Lost the race; undo the dependency and retry.
@@ -63,15 +63,10 @@ func (tx *Tx) acquireReadLock(v *storage.Version) error {
 			continue
 		}
 		if v.CASEnd(w, field.WithReaders(w, field.Readers(w)+1)) {
-			tx.recordReadLock(v)
+			tx.readLocks = append(tx.readLocks, v)
 			return nil
 		}
 	}
-}
-
-func (tx *Tx) recordReadLock(v *storage.Version) {
-	tx.tookLocks = true
-	tx.T.RecordReadLock(v)
 }
 
 // releaseReadLock drops one read lock (Section 4.2.1). Releasing the last
@@ -115,16 +110,15 @@ func (tx *Tx) releaseReadLock(v *storage.Version) {
 // precommit (the end timestamp must be drawn while the locks are held) and
 // on abort.
 func (tx *Tx) releaseAllReadLocks() {
-	if !tx.tookLocks {
+	if len(tx.readLocks) == 0 {
 		return
 	}
-	tx.tookLocks = false
-	tx.readLockBuf = tx.T.DrainReadLocks(tx.readLockBuf)
-	for _, v := range tx.readLockBuf {
+	tx.T.PublishReadLocks(nil)
+	for _, v := range tx.readLocks {
 		tx.releaseReadLock(v)
 	}
-	clear(tx.readLockBuf)
-	tx.readLockBuf = tx.readLockBuf[:0]
+	clear(tx.readLocks)
+	tx.readLocks = tx.readLocks[:0]
 }
 
 // releaseSelfWriteReadLocks releases the read locks tx holds on versions tx
@@ -136,22 +130,25 @@ func (tx *Tx) releaseAllReadLocks() {
 // owns the write lock: a competing writer hits ErrWriteConflict, and the
 // version's End can only ever become tx's own end timestamp. Read locks on
 // versions locked by OTHER writers (or by no writer) stay held through the
-// end-timestamp draw.
+// end-timestamp draw. Only a write that found its target read-locked can
+// have made such a dependency, so every other commit skips the walk.
 func (tx *Tx) releaseSelfWriteReadLocks() {
-	if !tx.tookLocks || len(tx.writeSet) == 0 {
+	if !tx.updatedReadLocked {
 		return
 	}
-	tx.readLockBuf = tx.T.DrainReadLocks(tx.readLockBuf)
-	for _, v := range tx.readLockBuf {
+	tx.updatedReadLocked = false
+	kept := 0
+	for _, v := range tx.readLocks {
 		w := v.End()
 		if field.IsLock(w) && field.Writer(w) == tx.T.ID() {
 			tx.releaseReadLock(v)
 		} else {
-			tx.T.RecordReadLock(v)
+			tx.readLocks[kept] = v
+			kept++
 		}
 	}
-	clear(tx.readLockBuf)
-	tx.readLockBuf = tx.readLockBuf[:0]
+	clear(tx.readLocks[kept:])
+	tx.readLocks = tx.readLocks[:kept]
 }
 
 // installWriteLock atomically stores tx's ID in V's End word, the combined
@@ -265,9 +262,10 @@ func (tx *Tx) releaseRangeLocks() {
 }
 
 // insertDeps is called when tx links a new version with the given key into
-// index ix: if the key is covered by serializable scan locks — bucket locks
+// index ix, or ends a version whose key leaves it (Delete, key-changing
+// Update): if the key is covered by serializable scan locks — bucket locks
 // on a hash index, range locks on an ordered one — tx takes a wait-for
-// dependency on each holder: it may insert eagerly, but cannot precommit
+// dependency on each holder: it may write eagerly, but cannot precommit
 // before the scanners complete (Section 4.2.2).
 func (tx *Tx) insertDeps(ix storage.Index, key uint64) error {
 	if rl := ix.RangeLocks(); rl != nil {

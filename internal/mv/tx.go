@@ -72,13 +72,15 @@ type Tx struct {
 	walRec wal.Record
 	// holders is the scratch buffer for bucket-lock holder snapshots.
 	holders []uint64
-	// readLockBuf is the scratch buffer for draining read locks.
-	readLockBuf []*storage.Version
 
-	// tookLocks is an owner-only fast path: true once the transaction has
-	// acquired any read lock (the locks themselves live on T so the
-	// deadlock detector can see them).
-	tookLocks bool
+	// readLocks lists the versions tx holds read locks on. Only the owner
+	// touches it; CommitTS publishes it to T for the deadlock detector just
+	// before waiting on wait-for dependencies.
+	readLocks []*storage.Version
+	// updatedReadLocked is set when an Update or Delete found its target
+	// read-locked: some of those locks may be tx's own, which
+	// releaseSelfWriteReadLocks must drop before tx waits.
+	updatedReadLocked bool
 }
 
 // Scheme returns the transaction's concurrency control scheme.
@@ -117,20 +119,13 @@ func (tx *Tx) checkUsable() error {
 	return nil
 }
 
-// isLatest reports whether v is the latest version of its record: its End
-// word is infinity or a lock word (uncommitted writer and/or read locks).
-func isLatest(v *storage.Version) bool {
-	w := v.End()
-	return field.IsLock(w) || field.TS(w) == field.Infinity
-}
-
 // Scan iterates the versions in index indexOrd matching key and pred that
 // are visible to tx, applying the isolation level's bookkeeping: optimistic
 // serializable scans are recorded for phantom rescans; pessimistic
-// serializable scans bucket-lock; repeatable-read and serializable reads are
-// read-locked (pessimistic) or read-set tracked (optimistic). fn returning
-// false stops the scan. If Scan returns a non-nil error the transaction must
-// be aborted.
+// serializable scans bucket-lock, and that lock also keeps the rows read
+// stable; pessimistic repeatable-read reads are read-locked and optimistic
+// ones read-set tracked. fn returning false stops the scan. If Scan returns
+// a non-nil error the transaction must be aborted.
 func (tx *Tx) Scan(t *storage.Table, indexOrd int, key uint64, pred Pred, fn func(v *storage.Version) bool) error {
 	return tx.scan(t, indexOrd, key, pred, false, func(v *storage.Version) (bool, error) {
 		return fn(v), nil
@@ -185,10 +180,11 @@ func (tx *Tx) scan(t *storage.Table, indexOrd int, key uint64, pred Pred, forUpd
 // visible to tx, in ascending key order, applying the same isolation
 // bookkeeping as Scan: optimistic serializable range scans are recorded and
 // repeated at validation (phantom rescan); pessimistic serializable scans
-// take a range lock that forces inserters into the range to wait; repeatable
-// read stabilizes every row read. The index must be Ordered or
-// storage.ErrUnordered is returned. fn returning false stops the scan; a
-// non-nil error means the transaction must be aborted.
+// take a range lock that forces inserters into the range, and writers ending
+// a version in it, to wait; repeatable read stabilizes every row read. The
+// index must be Ordered or storage.ErrUnordered is returned. fn returning
+// false stops the scan; a non-nil error means the transaction must be
+// aborted.
 func (tx *Tx) ScanRange(t *storage.Table, indexOrd int, lo, hi uint64, pred Pred, fn func(v *storage.Version) bool) error {
 	return tx.scanRange(t, indexOrd, lo, hi, pred, false, func(v *storage.Version) (bool, error) {
 		return fn(v), nil
@@ -242,7 +238,7 @@ func (tx *Tx) scanRange(t *storage.Table, indexOrd int, lo, hi uint64, pred Pred
 // visit applies the visibility test and per-row isolation bookkeeping to one
 // candidate version (shared by point and range scans): invisible versions
 // feed the pessimistic phantom guard; visible ones are read-set tracked
-// (optimistic) or read-locked (pessimistic) at repeatable read and above,
+// (optimistic) or stabilized (pessimistic) at repeatable read and above,
 // then handed to fn. The returned bool is whether the scan should continue.
 func (tx *Tx) visit(v *storage.Version, rt uint64, ser, forUpdate bool, fn func(*storage.Version) (bool, error)) (bool, error) {
 	if !tx.isVisible(v, rt) {
@@ -258,29 +254,45 @@ func (tx *Tx) visit(v *storage.Version, rt uint64, ser, forUpdate bool, fn func(
 	if !forUpdate && (tx.iso == RepeatableRead || ser) {
 		if tx.scheme == Optimistic {
 			tx.readSet = append(tx.readSet, v)
-		} else if isLatest(v) {
-			// Read locks are only needed on latest versions; older
-			// versions have immutable valid intervals (Section 4.1.1).
-			if err := tx.acquireReadLock(v); err != nil {
-				tx.e.lockFailures.Add(1)
-				return false, err
-			}
-		} else {
-			// Visible at rt yet already committed-replaced: the replacer
-			// drew its end timestamp after our read time was taken, so this
-			// observation is stale as of our own (still larger) end
-			// timestamp and no read lock can stabilize it — the same
-			// "replaced between visibility check and lock acquisition"
-			// condition acquireReadLock reports. Pessimistic read stability
-			// is lock-based, not validation-based, so the only sound
-			// outcome is to abort. (Pessimistic snapshot-isolation reads at
-			// the begin timestamp never take this branch: they do not
-			// require stability at the end timestamp.)
+		} else if err := tx.stabilize(v, ser); err != nil {
 			tx.e.lockFailures.Add(1)
-			return false, ErrReadLockFailed
+			return false, err
 		}
 	}
 	return fn(v)
+}
+
+// stabilize keeps a pessimistic read of the visible version v valid up to
+// tx's end timestamp.
+//
+// Only latest versions need it; older versions have immutable valid
+// intervals (Section 4.1.1). A version visible at rt yet already
+// committed-replaced was replaced by a writer that drew its end timestamp
+// after our read time, so the observation is stale as of our own (still
+// larger) end timestamp and nothing can stabilize it: tx aborts with
+// ErrReadLockFailed, the "replaced between visibility check and lock
+// acquisition" outcome of acquireReadLock. (Snapshot-isolation reads at the
+// begin timestamp never get here: they need no stability at the end.)
+//
+// A serializable scan already holds a bucket or range lock covering v's key,
+// taken before this load of v's End word. Every writer that ends a version
+// under a scan lock (Update, Delete) checks the scan locks after installing
+// its write lock and waits for the holders, as an inserter does (insertDeps).
+// A writer that locks v after this load therefore precommits after tx, so
+// the scan lock stabilizes the read and no read lock is taken. A writer that
+// locked v before the load may have missed our scan lock, so tx read-locks v,
+// which charges that writer a wait-for dependency (Section 4.2.1).
+// Repeatable read holds no scan lock and read-locks every latest version.
+func (tx *Tx) stabilize(v *storage.Version, ser bool) error {
+	w := v.End()
+	if field.IsTS(w) && field.TS(w) != field.Infinity {
+		return ErrReadLockFailed
+	}
+	otherWriter := field.IsLock(w) && field.HasWriter(w) && field.Writer(w) != tx.T.ID()
+	if ser && !otherWriter {
+		return nil
+	}
+	return tx.acquireReadLock(v)
 }
 
 // phantomGuard handles an invisible, predicate-matching version during a
@@ -544,17 +556,26 @@ func (tx *Tx) Update(t *storage.Table, old *storage.Version, newPayload []byte) 
 		// Eager update of a read-locked version: tx waits (at precommit)
 		// until all read locks on the version are released (Section 4.2.1).
 		tx.T.AddWaitFor()
+		tx.updatedReadLocked = true
 	}
 	nv := tx.e.vpool.GetIn(t.Arena(), newPayload, t.NumIndexes(), field.FromTxID(tx.T.ID()), infinityWord)
 	t.Insert(nv)
 	tx.writeSet = append(tx.writeSet, writeRec{t, old, nv, wal.OpUpdate, nv.Key(0)})
 	// Scan-lock check after linking, for the same reason as Insert: the
 	// new version must be reachable before we decide no scanner needs a
-	// wait-for dependency from us. Failure dooms the transaction — the
-	// write is already staged.
+	// wait-for dependency from us. A key the update moves away is checked
+	// too: serializable scans of the old key rely on their scan lock, not a
+	// read lock, to keep the old version stable (stabilize). An unchanged
+	// key is covered by the new version's check. Failure dooms the
+	// transaction — the write is already staged.
 	for ord := 0; ord < t.NumIndexes(); ord++ {
 		ix := t.Index(ord)
-		if err := tx.insertDeps(ix, nv.Key(ix.Ord())); err != nil {
+		key, oldKey := nv.Key(ix.Ord()), old.Key(ix.Ord())
+		err := tx.insertDeps(ix, key)
+		if err == nil && oldKey != key {
+			err = tx.insertDeps(ix, oldKey)
+		}
+		if err != nil {
 			tx.T.RequestAbort()
 			return err
 		}
@@ -581,8 +602,20 @@ func (tx *Tx) Delete(t *storage.Table, old *storage.Version) error {
 	}
 	if wasReadLocked {
 		tx.T.AddWaitFor()
+		tx.updatedReadLocked = true
 	}
 	tx.writeSet = append(tx.writeSet, writeRec{t, old, nil, wal.OpDelete, t.Index(0).Key(old.Payload)})
+	// Every key of the deleted version leaves its index: a serializable scan
+	// lock on any of them makes tx wait for the holder, as an insert would.
+	// The check follows the write lock for the same reason Insert's follows
+	// linking (see stabilize).
+	for ord := 0; ord < t.NumIndexes(); ord++ {
+		ix := t.Index(ord)
+		if err := tx.insertDeps(ix, old.Key(ix.Ord())); err != nil {
+			tx.T.RequestAbort()
+			return err
+		}
+	}
 	return nil
 }
 

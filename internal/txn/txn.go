@@ -144,10 +144,12 @@ type Txn struct {
 	// transaction precommits or aborts.
 	waitingTxnList []uint64
 
-	// lockMu guards readLocks: the list of versions this transaction holds
-	// read locks on. The owner appends and drains it; the deadlock detector
-	// reads it concurrently to recover implicit wait-for edges
-	// (Section 4.4, step 3).
+	// lockMu guards readLocks: the versions this transaction holds read
+	// locks on, as published by the owning engine for the deadlock detector
+	// to recover implicit wait-for edges (Section 4.4, step 3). The engine
+	// keeps the list itself and publishes it once, before waiting on
+	// wait-for dependencies; until it withdraws the list (nil) it does not
+	// modify it.
 	lockMu    sync.Mutex
 	readLocks []*storage.Version
 }
@@ -185,16 +187,8 @@ func (t *Txn) Reset(id, begin uint64) {
 	t.outgoingReleased = false
 	t.waitingTxnList = t.waitingTxnList[:0]
 	t.mu.Unlock()
-	// The read-lock list was drained at end of normal processing; skip the
-	// lock when it is already empty (reading len unsynchronized is fine: the
-	// only writers are the previous owner, ordered by the recycle protocol,
-	// and concurrent deadlock-detector access only reads).
-	if len(t.readLocks) > 0 {
-		t.lockMu.Lock()
-		clear(t.readLocks)
-		t.readLocks = t.readLocks[:0]
-		t.lockMu.Unlock()
-	}
+	// readLocks needs no reset: the engine withdraws a published list before
+	// its transaction finishes, so it is already nil here.
 }
 
 // ID returns the transaction's unique identifier. Readers that obtained this
@@ -423,26 +417,16 @@ func (t *Txn) Blocked() bool {
 
 // --- Read-lock bookkeeping (the ReadSet of Section 4) ---
 
-// RecordReadLock remembers that the transaction holds a read lock on v.
-func (t *Txn) RecordReadLock(v *storage.Version) {
+// PublishReadLocks makes locks the transaction's read-lock list as the
+// deadlock detector sees it; nil withdraws it. The list is shared, not
+// copied: the caller must not modify it until it has been withdrawn.
+func (t *Txn) PublishReadLocks(locks []*storage.Version) {
 	t.lockMu.Lock()
-	t.readLocks = append(t.readLocks, v)
+	t.readLocks = locks
 	t.lockMu.Unlock()
 }
 
-// DrainReadLocks moves the read-lock list into dst (reusing its capacity)
-// and empties the list; the owner calls it when releasing all read locks at
-// the end of normal processing.
-func (t *Txn) DrainReadLocks(dst []*storage.Version) []*storage.Version {
-	t.lockMu.Lock()
-	dst = append(dst[:0], t.readLocks...)
-	clear(t.readLocks)
-	t.readLocks = t.readLocks[:0]
-	t.lockMu.Unlock()
-	return dst
-}
-
-// SnapshotReadLocks copies the current read-lock list for the deadlock
+// SnapshotReadLocks copies the published read-lock list for the deadlock
 // detector.
 func (t *Txn) SnapshotReadLocks() []*storage.Version {
 	t.lockMu.Lock()
