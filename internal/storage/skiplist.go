@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // skipMaxLevel bounds skip-list tower height; 2^24 distinct keys stay within
@@ -25,6 +27,11 @@ const (
 // chain head for the single-version one) needs no extra allocation or
 // indirection.
 //
+// A node is one allocation: a compact header with the tower inline after it,
+// so a descent hop reads the successor's key and tower from one object.
+// tower declares level 0 only; newSkipNode allocates taller nodes with the
+// remaining levels trailing it, and level reaches them.
+//
 // Nodes are reclaimed in stages (see the state constants) so the index's
 // footprint tracks live keys rather than every key ever inserted. A dead
 // node keeps its tower pointers intact until it is freed: a reader parked on
@@ -32,18 +39,62 @@ const (
 // are rewritten only after the list's owner proves quiescence, so lock-free
 // readers never observe a node changing identity under them.
 type SkipNode[V any] struct {
-	key uint64
+	key    uint64
+	state  atomic.Uint32
+	height uint32 // tower levels; fixed at allocation, kept across reuse
 	// V is the caller's per-key value, addressable via &n.V.
 	V     V
-	state atomic.Uint32
-	next  []atomic.Pointer[SkipNode[V]]
+	tower [1]atomic.Pointer[SkipNode[V]] // must stay last: levels ≥ 1 follow it
 }
 
 // Key returns the node's index key.
 func (n *SkipNode[V]) Key() uint64 { return n.key }
 
 // Next returns the node's level-0 successor (the next larger key), or nil.
-func (n *SkipNode[V]) Next() *SkipNode[V] { return n.next[0].Load() }
+func (n *SkipNode[V]) Next() *SkipNode[V] { return n.tower[0].Load() }
+
+// level returns the node's level-i successor slot; the height bound keeps it
+// inside the node's allocation. The offset is uintptr arithmetic, not
+// unsafe.Add, because only this form is instrumented by checkptr (on under
+// -race), which then verifies that the slot lies in level 0's allocation.
+func (n *SkipNode[V]) level(i int) *atomic.Pointer[SkipNode[V]] {
+	if uint(i) >= uint(n.height) {
+		panic(errSkipLevel)
+	}
+	return (*atomic.Pointer[SkipNode[V]])(unsafe.Pointer(uintptr(unsafe.Pointer(&n.tower[0])) + uintptr(i)*unsafe.Sizeof(n.tower[0])))
+}
+
+// errSkipLevel is level's panic value: a prebuilt error, so the descents
+// that inline level convert nothing to an interface and stay allocation-free.
+var errSkipLevel = errors.New("storage: skip-list level above node height")
+
+// skipNodeClass is a node followed in the same object by the rest of its
+// tower, T: an array of tower slots the collector scans like any pointer.
+type skipNodeClass[V, T any] struct {
+	n SkipNode[V]
+	t T
+}
+
+// newSkipNode allocates a node of the given height as one object, rounded
+// up to a height class of 1, 2, 4, 8 or skipMaxLevel levels.
+func newSkipNode[V any](height int) *SkipNode[V] {
+	type slot = atomic.Pointer[SkipNode[V]]
+	var n *SkipNode[V]
+	switch {
+	case height <= 1:
+		n = new(SkipNode[V])
+	case height <= 2:
+		n = &new(skipNodeClass[V, [1]slot]).n
+	case height <= 4:
+		n = &new(skipNodeClass[V, [3]slot]).n
+	case height <= 8:
+		n = &new(skipNodeClass[V, [7]slot]).n
+	default:
+		n = &new(skipNodeClass[V, [skipMaxLevel - 1]slot]).n
+	}
+	n.height = uint32(height)
+	return n
+}
 
 // deadSkipNode is an unlinked node awaiting quiescence, stamped with the
 // owner-supplied epoch at sweep time.
@@ -99,12 +150,13 @@ type SkipList[V any] struct {
 func (s *SkipList[V]) Len() int { return int(s.n.Load()) }
 
 // nextAt returns the level-lvl successor pointer of n, where nil n means the
-// sentinel head.
+// sentinel head. A node is only reached at a level below its height, so its
+// tower (SkipNode.level) always has the slot.
 func (s *SkipList[V]) nextAt(n *SkipNode[V], lvl int) *atomic.Pointer[SkipNode[V]] {
 	if n == nil {
 		return &s.headNext[lvl]
 	}
-	return &n.next[lvl]
+	return n.level(lvl)
 }
 
 // findPred descends from the top level, returning the rightmost node at
@@ -137,10 +189,10 @@ func (s *SkipList[V]) findPred(key uint64, preds *[skipMaxLevel]*SkipNode[V]) *S
 // never on a re-load of the predecessor's pointer afterwards. A re-load races
 // concurrent inserts: between the walk's load (which saw the target and
 // broke) and the re-load, an insert of a key in (pred.key, key) rewrites
-// pred.next to the new intermediate node, and the equality check would turn a
-// linked, reachable target into a spurious miss. Under two-phase locking
-// that is a correctness bug, not a mere stale read: a reader holding a lock
-// on key sees it vanish while inserts of *neighboring* keys proceed.
+// pred's level-0 slot to the new intermediate node, and the equality check
+// would turn a linked, reachable target into a spurious miss. Under two-phase
+// locking that is a correctness bug, not a mere stale read: a reader holding
+// a lock on key sees it vanish while inserts of *neighboring* keys proceed.
 //
 //mvlint:noalloc
 func (s *SkipList[V]) Get(key uint64) *SkipNode[V] {
@@ -187,6 +239,7 @@ func (s *SkipList[V]) Seek(lo uint64) *SkipNode[V] {
 // concurrent reclaimer marked it; callers that add entries must Revive it
 // under their chain synchronization and retry on failure (the node was
 // already unlinked, and the retry will create a fresh one).
+// A new node is one allocation (newSkipNode); a pooled one keeps its height.
 func (s *SkipList[V]) GetOrCreate(key uint64) *SkipNode[V] {
 	if n := s.Get(key); n != nil {
 		return n
@@ -209,16 +262,16 @@ func (s *SkipList[V]) GetOrCreate(key uint64) *SkipNode[V] {
 		n.state.Store(nodeLive)
 		s.reused.Add(1)
 	} else {
-		lvl := s.randomLevel()
-		n = &SkipNode[V]{key: key, next: make([]atomic.Pointer[SkipNode[V]], lvl)}
+		n = newSkipNode[V](s.randomLevel())
+		n.key = key
 		s.created.Add(1)
 	}
 	// Point the new node at its successors before publishing it, then link
 	// bottom-up: a reader that finds the node at any level can always
 	// continue the descent through it.
-	lvl := len(n.next)
+	lvl := int(n.height)
 	for i := 0; i < lvl; i++ {
-		n.next[i].Store(s.nextAt(preds[i], i).Load())
+		n.level(i).Store(s.nextAt(preds[i], i).Load())
 	}
 	for i := 0; i < lvl; i++ {
 		s.nextAt(preds[i], i).Store(n)
@@ -321,10 +374,10 @@ func (s *SkipList[V]) SweepMarked(stamp func() uint64, max int) int {
 			continue // revived; it re-queues if its value drains again
 		}
 		s.findPred(n.key, &preds)
-		for lvl := len(n.next) - 1; lvl >= 0; lvl-- {
+		for lvl := int(n.height) - 1; lvl >= 0; lvl-- {
 			p := s.nextAt(preds[lvl], lvl)
 			if p.Load() == n {
-				p.Store(n.next[lvl].Load())
+				p.Store(n.level(lvl).Load())
 			}
 		}
 		swept = append(swept, n)
@@ -346,8 +399,9 @@ func (s *SkipList[V]) SweepMarked(stamp func() uint64, max int) int {
 // the sweep that produced the entry (so its loads are ordered after the
 // unlink stores): returning true asserts that no reader pinned or begun
 // before the stamp remains, hence no pointer to the node survives anywhere.
-// reset clears the node's embedded value; tower pointers and the key are
-// cleared here so pooled nodes retain no references into the list.
+// reset clears the node's embedded value; the key and exactly height tower
+// levels are cleared here so pooled nodes retain no references into the
+// list. The height itself is kept: it sizes the node's allocation.
 func (s *SkipList[V]) FreeDead(quiesced func(stamp uint64) bool, reset func(*V), max int) int {
 	if max <= 0 {
 		max = 1 << 30
@@ -374,8 +428,8 @@ func (s *SkipList[V]) FreeDead(quiesced func(stamp uint64) bool, reset func(*V),
 		if reset != nil {
 			reset(&n.V)
 		}
-		for i := range n.next {
-			n.next[i].Store(nil)
+		for i := 0; i < int(n.height); i++ {
+			n.level(i).Store(nil)
 		}
 		n.key = 0
 	}

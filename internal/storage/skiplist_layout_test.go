@@ -1,0 +1,216 @@
+package storage
+
+import (
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+	"unsafe"
+	"weak"
+)
+
+// A new skip-list node is one allocation: header and tower together.
+func TestSkipNodeOneAllocation(t *testing.T) {
+	var s SkipList[Bucket]
+	key := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		key++
+		s.GetOrCreate(key)
+	})
+	if allocs != 1 {
+		t.Fatalf("GetOrCreate of a fresh key made %v allocations, want 1", allocs)
+	}
+}
+
+// TestSkipNodeHeaderSize pins the compact node header, so a field added to
+// it fails here rather than quietly pushing towers onto a second line.
+func TestSkipNodeHeaderSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(SkipNode[Bucket]{}); got != 48 {
+		t.Errorf("SkipNode[Bucket] is %d bytes, want 48", got)
+	}
+	// One pointer of value: the shape of the single-version record chain.
+	if got := unsafe.Sizeof(SkipNode[struct{ head *Version }]{}); got != 32 {
+		t.Errorf("SkipNode[struct{ head *Version }] is %d bytes, want 32", got)
+	}
+}
+
+// TestSkipNodeTowerScanned checks that the collector sees every tower level
+// of every height: a successor reachable only through a node's level i must
+// survive a collection. A height mapped to a class with too few trailing
+// slots would park its top levels in allocation padding the collector never
+// scans, and lose them here.
+func TestSkipNodeTowerScanned(t *testing.T) {
+	for h := 1; h <= skipMaxLevel; h++ {
+		n := newSkipNode[int](h)
+		succs := make([]weak.Pointer[SkipNode[int]], h)
+		for i := range succs {
+			succ := newSkipNode[int](1)
+			n.level(i).Store(succ)
+			succs[i] = weak.Make(succ)
+		}
+		runtime.GC()
+		for i, w := range succs {
+			if w.Value() == nil {
+				t.Fatalf("height %d: the successor held only by level %d was collected", h, i)
+			}
+		}
+		runtime.KeepAlive(n)
+	}
+}
+
+// checkSkipStructure walks every level from the head and checks the skip-list
+// invariants: keys ascend, a node on level i is at least i+1 tall, and level
+// i's nodes are a subsequence of level i-1's. It returns each level's node
+// set.
+func checkSkipStructure(t *testing.T, s *SkipList[int]) [skipMaxLevel]map[*SkipNode[int]]bool {
+	t.Helper()
+	var onLevel [skipMaxLevel]map[*SkipNode[int]]bool
+	for lvl := 0; lvl < skipMaxLevel; lvl++ {
+		onLevel[lvl] = make(map[*SkipNode[int]]bool)
+		var prev *SkipNode[int]
+		for n := s.nextAt(nil, lvl).Load(); n != nil; n = n.level(lvl).Load() {
+			if int(n.height) <= lvl {
+				t.Fatalf("key %d (height %d) linked at level %d", n.key, n.height, lvl)
+			}
+			if prev != nil && n.key <= prev.key {
+				t.Fatalf("level %d: key %d after %d", lvl, n.key, prev.key)
+			}
+			if lvl > 0 && !onLevel[lvl-1][n] {
+				t.Fatalf("key %d on level %d but not on level %d", n.key, lvl, lvl-1)
+			}
+			onLevel[lvl][n] = true
+			prev = n
+		}
+	}
+	return onLevel
+}
+
+// TestSkipListEveryHeight runs a node of each height 1..skipMaxLevel, and so
+// every height-class boundary, through its whole lifecycle: link, lookups
+// that descend through each of its levels, mark, sweep, free, and reuse.
+func TestSkipListEveryHeight(t *testing.T) {
+	for h := 1; h <= skipMaxLevel; h++ {
+		var s SkipList[int]
+		var background []uint64
+		for k := uint64(10); k <= 2000; k += 10 {
+			s.GetOrCreate(k)
+			background = append(background, k)
+		}
+		// Pool a node of height h: GetOrCreate links it as it would a
+		// reused one. Key 1 is the smallest, so every lookup of a larger
+		// key steps from the head onto it and reads each of its levels.
+		tall := newSkipNode[int](h)
+		s.pool = append(s.pool, tall)
+		if n := s.GetOrCreate(1); n != tall || int(n.height) != h {
+			t.Fatalf("h=%d: GetOrCreate linked %p (height %d), want the pooled node", h, n, n.height)
+		}
+		onLevel := checkSkipStructure(t, &s)
+		for lvl := 0; lvl < skipMaxLevel; lvl++ {
+			if onLevel[lvl][tall] != (lvl < h) {
+				t.Fatalf("h=%d: node on level %d = %v", h, lvl, onLevel[lvl][tall])
+			}
+		}
+		if s.Get(1) != tall || s.Seek(0) != tall || s.Seek(1) != tall {
+			t.Fatalf("h=%d: Get/Seek miss the tall node", h)
+		}
+		for _, k := range background {
+			if n := s.Get(k); n == nil || n.key != k {
+				t.Fatalf("h=%d: Get(%d) = %v", h, k, n)
+			}
+			if n := s.Seek(k - 5); n == nil || n.key != k {
+				t.Fatalf("h=%d: Seek(%d) = %v", h, k-5, n)
+			}
+		}
+
+		// Mark and sweep: unlinked from every level, its own tower intact
+		// for a reader parked on it.
+		s.MarkDeleted(tall)
+		if swept := s.SweepMarked(stampOf(1), 0); swept != 1 {
+			t.Fatalf("h=%d: swept %d nodes, want 1", h, swept)
+		}
+		onLevel = checkSkipStructure(t, &s)
+		for lvl := 0; lvl < skipMaxLevel; lvl++ {
+			if onLevel[lvl][tall] {
+				t.Fatalf("h=%d: swept node still on level %d", h, lvl)
+			}
+		}
+		if s.Get(1) != nil || s.Seek(0).Key() != 10 || tall.Next().Key() != 10 {
+			t.Fatalf("h=%d: after sweep Get(1)=%v Seek(0)=%d Next=%v", h, s.Get(1), s.Seek(0).Key(), tall.Next())
+		}
+
+		// Free: height kept, every level cleared.
+		if freed := s.FreeDead(always, func(v *int) { *v = 0 }, 0); freed != 1 {
+			t.Fatalf("h=%d: freed %d nodes, want 1", h, freed)
+		}
+		if int(tall.height) != h || tall.key != 0 {
+			t.Fatalf("h=%d: pooled node has height %d key %d", h, tall.height, tall.key)
+		}
+		for i := 0; i < h; i++ {
+			if tall.level(i).Load() != nil {
+				t.Fatalf("h=%d: pooled node keeps level %d", h, i)
+			}
+		}
+
+		// Reuse in the middle of the list, with the same height.
+		if n := s.GetOrCreate(1005); n != tall || int(n.height) != h {
+			t.Fatalf("h=%d: reuse linked %p (height %d), want the pooled node", h, n, n.height)
+		}
+		onLevel = checkSkipStructure(t, &s)
+		for lvl := 0; lvl < skipMaxLevel; lvl++ {
+			if onLevel[lvl][tall] != (lvl < h) {
+				t.Fatalf("h=%d: reused node on level %d = %v", h, lvl, onLevel[lvl][tall])
+			}
+		}
+		if s.Get(1005) != tall || s.Seek(1001) != tall || tall.Next().Key() != 1010 {
+			t.Fatalf("h=%d: Get/Seek miss the reused node", h)
+		}
+		if s.Created() != uint64(len(background)) || s.Reused() != 2 {
+			t.Fatalf("h=%d: created %d reused %d", h, s.Created(), s.Reused())
+		}
+	}
+}
+
+// The descent benchmarks run on a 2^20-key list of random keys, built once,
+// so every lookup walks a tower far larger than the caches.
+const benchSkipKeys = 1 << 20
+
+var (
+	benchSkipOnce sync.Once
+	benchSkip     SkipList[Bucket]
+	benchSkipKeyv []uint64
+	benchSkipSink *SkipNode[Bucket]
+)
+
+func benchSkipList() (*SkipList[Bucket], []uint64) {
+	benchSkipOnce.Do(func() {
+		rng := rand.New(rand.NewSource(1))
+		benchSkipKeyv = make([]uint64, benchSkipKeys)
+		for i := range benchSkipKeyv {
+			k := rng.Uint64()
+			benchSkipKeyv[i] = k
+			benchSkip.GetOrCreate(k)
+		}
+	})
+	return &benchSkip, benchSkipKeyv
+}
+
+func BenchmarkSkipListSeek1M(b *testing.B) {
+	s, keys := benchSkipList()
+	i := 0
+	for b.Loop() {
+		benchSkipSink = s.Seek(keys[i&(benchSkipKeys-1)])
+		i++
+	}
+}
+
+func BenchmarkSkipListGet1M(b *testing.B) {
+	s, keys := benchSkipList()
+	i := 0
+	for b.Loop() {
+		benchSkipSink = s.Get(keys[i&(benchSkipKeys-1)])
+		i++
+	}
+}
