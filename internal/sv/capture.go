@@ -29,11 +29,11 @@ func (e *Engine) Capture(tables []*Table, fn func(t *Table, key uint64, payload 
 
 	for _, t := range tables {
 		emitChain := func(head *Record) error {
-			for r := head; r != nil; r = r.next[0] {
+			for r := head; r != nil; r = r.link(0).next {
 				if r.deleted {
 					continue
 				}
-				if err := fn(t, r.keys[0], r.payload); err != nil {
+				if err := fn(t, r.link(0).key, r.payload); err != nil {
 					return err
 				}
 			}

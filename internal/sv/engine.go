@@ -65,6 +65,11 @@ type Engine struct {
 	nodeEpoch    gc.Epoch
 	sinceReclaim atomic.Int64
 
+	// txPool recycles Tx objects and their bookkeeping slices. A finished
+	// transaction goes back immediately: lock words and range-lock entries
+	// name their owners by ID, so nothing in the engine points at a Tx.
+	txPool sync.Pool
+
 	commits     atomic.Uint64
 	aborts      atomic.Uint64
 	timeouts    atomic.Uint64
@@ -93,6 +98,7 @@ func NewEngine(cfg Config) *Engine {
 		cfg.ReclaimQuota = 256
 	}
 	e := &Engine{cfg: cfg, tables: make(map[string]*Table)}
+	e.txPool.New = func() any { return &Tx{e: e} }
 	e.nodeEpoch.Init(0)
 	return e
 }
@@ -226,14 +232,43 @@ type recordChain struct {
 	head *Record
 }
 
-// Record is a single-version record. Payload and chain pointers are read
-// under the covering locks (bucket keyLocks for hash indexes, range locks
-// for ordered ones) and written under exclusive covers.
+// Record is a single-version record, one allocation for tables of up to two
+// indexes: the chain slots of ordinals 0 and 1 sit inline, and only ordinals
+// 2 and up spill into more (the shape of storage.Version). Payload and chain
+// slots are read under the covering locks (bucket keyLocks for hash indexes,
+// range locks for ordered ones) and written under exclusive covers.
 type Record struct {
 	payload []byte
-	keys    []uint64 // cached index keys, kept in sync with payload
 	deleted bool
-	next    []*Record
+	inline  [2]link
+	more    []link
+}
+
+// link is a record's slot in one index: the cached index key, kept in sync
+// with the payload, and the successor in that key's chain.
+type link struct {
+	key  uint64
+	next *Record
+}
+
+// newRecord allocates a record for t with its index keys cached.
+func newRecord(t *Table, payload []byte) *Record {
+	r := &Record{payload: payload}
+	if n := len(t.indexes); n > len(r.inline) {
+		r.more = make([]link, n-len(r.inline))
+	}
+	for ord, ix := range t.indexes {
+		r.link(ord).key = ix.keyOf(payload)
+	}
+	return r
+}
+
+// link returns r's chain slot in index ord.
+func (r *Record) link(ord int) *link {
+	if ord < len(r.inline) {
+		return &r.inline[ord]
+	}
+	return &r.more[ord-len(r.inline)]
 }
 
 // Payload returns the record's current payload. The caller must be holding
@@ -256,22 +291,30 @@ func (ix *hashIndex) keyOf(p []byte) uint64     { return ix.spec.Key(p) }
 func (ix *hashIndex) bucket(key uint64) *bucket { return &ix.buckets[mix(key)&ix.mask] }
 
 func (ix *hashIndex) link(r *Record) {
-	b := ix.bucket(r.keys[ix.ord])
-	r.next[ix.ord] = b.head
+	l := r.link(ix.ord)
+	b := ix.bucket(l.key)
+	l.next = b.head
 	b.head = r
 }
 
 func (ix *hashIndex) unlink(r *Record, key uint64) {
-	b := ix.bucket(key)
-	if b.head == r {
-		b.head = r.next[ix.ord]
+	unlinkChain(&ix.bucket(key).head, r, ix.ord)
+}
+
+// unlinkChain removes r from the index-ord chain starting at *head.
+func unlinkChain(head **Record, r *Record, ord int) {
+	next := r.link(ord).next
+	if *head == r {
+		*head = next
 		return
 	}
-	for cur := b.head; cur != nil; cur = cur.next[ix.ord] {
-		if cur.next[ix.ord] == r {
-			cur.next[ix.ord] = r.next[ix.ord]
+	for cur := *head; cur != nil; {
+		l := cur.link(ord)
+		if l.next == r {
+			l.next = next
 			return
 		}
+		cur = l.next
 	}
 }
 
@@ -286,12 +329,13 @@ func (ix *orderedIndex) keyOf(p []byte) uint64 { return ix.spec.Key(p) }
 // asynchronous sweeper.
 func (ix *orderedIndex) link(r *Record) {
 	slot := ix.ep.Enter()
+	l := r.link(ix.ord)
 	for {
-		n := ix.list.GetOrCreate(r.keys[ix.ord])
+		n := ix.list.GetOrCreate(l.key)
 		if !ix.list.Revive(n) {
 			continue // node already swept; a fresh node is needed
 		}
-		r.next[ix.ord] = n.V.head
+		l.next = n.V.head
 		n.V.head = r
 		break
 	}
@@ -307,16 +351,7 @@ func (ix *orderedIndex) unlink(r *Record, key uint64) {
 	if n == nil {
 		return
 	}
-	if n.V.head == r {
-		n.V.head = r.next[ix.ord]
-	} else {
-		for cur := n.V.head; cur != nil; cur = cur.next[ix.ord] {
-			if cur.next[ix.ord] == r {
-				cur.next[ix.ord] = r.next[ix.ord]
-				break
-			}
-		}
-	}
+	unlinkChain(&n.V.head, r, ix.ord)
 	if n.V.head == nil {
 		ix.list.MarkDeleted(n)
 	}
@@ -403,14 +438,7 @@ func (e *Engine) ReclaimNodes(limit int) (swept, freed int) {
 
 // LoadRow inserts a record without locking. Single-threaded bulk load only.
 func (e *Engine) LoadRow(t *Table, payload []byte) {
-	r := &Record{
-		payload: payload,
-		keys:    make([]uint64, len(t.indexes)),
-		next:    make([]*Record, len(t.indexes)),
-	}
-	for ord, ix := range t.indexes {
-		r.keys[ord] = ix.keyOf(payload)
-	}
+	r := newRecord(t, payload)
 	for _, ix := range t.indexes {
 		ix.link(r)
 	}

@@ -1,0 +1,205 @@
+package sv
+
+import (
+	"encoding/binary"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"repro/internal/iso"
+	"repro/internal/storage"
+)
+
+func TestRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit targets")
+	}
+	// 88 bytes: the 96 B size class, the same bytes as the former record
+	// header plus its separate keys and next arrays on a one-index table.
+	if got := unsafe.Sizeof(Record{}); got > 96 {
+		t.Fatalf("unsafe.Sizeof(Record{}) = %d, want <= 96", got)
+	}
+}
+
+// ovRow is a row of the four-index overflow table: primary key pk, a hash
+// attribute a and an ordered attribute b.
+type ovRow struct{ pk, a, b uint64 }
+
+func (r ovRow) payload() []byte {
+	p := make([]byte, 24)
+	binary.LittleEndian.PutUint64(p, r.pk)
+	binary.LittleEndian.PutUint64(p[8:], r.a)
+	binary.LittleEndian.PutUint64(p[16:], r.b)
+	return p
+}
+
+func ovField(off int) func([]byte) uint64 {
+	return func(p []byte) uint64 { return binary.LittleEndian.Uint64(p[off:]) }
+}
+
+// ovIndexes are the overflow table's indexes: ordinals 0 and 1 sit in the
+// record's inline slots, 2 and 3 in its spill slice.
+var ovIndexes = []storage.IndexSpec{
+	{Name: "pk", Key: ovField(0), Buckets: 64},
+	{Name: "pk_ord", Key: ovField(0), Ordered: true},
+	{Name: "a", Key: ovField(8), Buckets: 64},
+	{Name: "b", Key: ovField(16), Ordered: true},
+}
+
+// ovHashDomain bounds every hash-index key the test writes.
+const ovHashDomain = 64
+
+// checkOverflowIndexes scans every index of tbl through tx and compares the
+// visible rows, and each record's cached key, against model.
+func checkOverflowIndexes(t *testing.T, step string, tx *Tx, tbl *Table, model map[uint64]ovRow) {
+	t.Helper()
+	for ord, spec := range ovIndexes {
+		want := map[uint64][]uint64{}
+		for _, r := range model {
+			k := spec.Key(r.payload())
+			want[k] = append(want[k], r.pk)
+		}
+		got := map[uint64][]uint64{}
+		collect := func(rec *Record) bool {
+			k := spec.Key(rec.payload)
+			if rec.link(ord).key != k {
+				t.Errorf("%s: index %s caches key %d for a row whose key is %d", step, spec.Name, rec.link(ord).key, k)
+			}
+			got[k] = append(got[k], ovField(0)(rec.payload))
+			return true
+		}
+		if spec.Ordered {
+			last := uint64(0)
+			err := tx.ScanRange(tbl, ord, 0, ^uint64(0), nil, func(rec *Record) bool {
+				if k := spec.Key(rec.payload); k < last {
+					t.Errorf("%s: index %s out of order: %d after %d", step, spec.Name, k, last)
+				} else {
+					last = k
+				}
+				return collect(rec)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for k := uint64(0); k < ovHashDomain; k++ {
+				if err := tx.Scan(tbl, ord, k, nil, collect); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for k := range want {
+			slices.Sort(want[k])
+		}
+		for k := range got {
+			slices.Sort(got[k])
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: index %s has %d keys, want %d (%v vs %v)", step, spec.Name, len(got), len(want), got, want)
+			continue
+		}
+		for k, w := range want {
+			if !slices.Equal(got[k], w) {
+				t.Errorf("%s: index %s key %d holds %v, want %v", step, spec.Name, k, got[k], w)
+			}
+		}
+	}
+}
+
+// linkedRecords counts the records physically linked into index ord,
+// deleted ones included.
+func linkedRecords(tbl *Table, ord int) int {
+	n := 0
+	switch ix := tbl.indexes[ord].(type) {
+	case *hashIndex:
+		for i := range ix.buckets {
+			for r := ix.buckets[i].head; r != nil; r = r.link(ord).next {
+				n++
+			}
+		}
+	case *orderedIndex:
+		for node := ix.list.Seek(0); node != nil; node = node.Next() {
+			for r := node.V.head; r != nil; r = r.link(ord).next {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestRecordOverflowOrdinals drives a four-index table, whose ordinals 2 and
+// 3 live in Record.more, through insert, a key-moving update on ordinal 3 and
+// delete. Each step is checked inside its transaction, after its rollback,
+// and after it is redone and committed.
+func TestRecordOverflowOrdinals(t *testing.T) {
+	e := NewEngine(Config{})
+	tbl, err := e.CreateTable(storage.TableSpec{Name: "ov", Indexes: ovIndexes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[uint64]ovRow{}
+	for pk := uint64(0); pk < 8; pk++ {
+		r := ovRow{pk, pk % 4, 10 + pk}
+		e.LoadRow(tbl, r.payload())
+		model[pk] = r
+	}
+
+	steps := []struct {
+		name  string
+		apply func(tx *Tx) error
+		after func(m map[uint64]ovRow)
+	}{
+		{"insert", func(tx *Tx) error {
+			return tx.Insert(tbl, ovRow{8, 1, 12}.payload())
+		}, func(m map[uint64]ovRow) { m[8] = ovRow{8, 1, 12} }},
+		{"update b", func(tx *Tx) error {
+			n, err := tx.UpdateWhere(tbl, 0, 3, nil, func([]byte) []byte { return ovRow{3, 3, 40}.payload() })
+			if err == nil && n != 1 {
+				t.Fatalf("update n=%d", n)
+			}
+			return err
+		}, func(m map[uint64]ovRow) { m[3] = ovRow{3, 3, 40} }},
+		{"delete", func(tx *Tx) error {
+			n, err := tx.DeleteWhere(tbl, 3, 12, func(p []byte) bool { return ovField(0)(p) == 2 })
+			if err == nil && n != 1 {
+				t.Fatalf("delete n=%d", n)
+			}
+			return err
+		}, func(m map[uint64]ovRow) { delete(m, 2) }},
+	}
+	for _, s := range steps {
+		next := map[uint64]ovRow{}
+		for k, v := range model {
+			next[k] = v
+		}
+		s.after(next)
+
+		tx := e.Begin(iso.ReadCommitted)
+		if err := s.apply(tx); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		checkOverflowIndexes(t, s.name+" (in tx)", tx, tbl, next)
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		tx = e.Begin(iso.ReadCommitted)
+		checkOverflowIndexes(t, s.name+" (rolled back)", tx, tbl, model)
+		if err := s.apply(tx); err != nil {
+			t.Fatalf("%s redo: %v", s.name, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		model = next
+		tx = e.Begin(iso.ReadCommitted)
+		checkOverflowIndexes(t, s.name+" (committed)", tx, tbl, model)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for ord, spec := range ovIndexes {
+			if n := linkedRecords(tbl, ord); n != len(model) {
+				t.Errorf("%s: index %s links %d records, want %d", s.name, spec.Name, n, len(model))
+			}
+		}
+	}
+}

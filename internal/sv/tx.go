@@ -2,6 +2,8 @@ package sv
 
 import (
 	"errors"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/iso"
 	"repro/internal/storage"
@@ -52,11 +54,16 @@ type undoRec struct {
 	t          *Table
 	r          *Record
 	oldPayload []byte
-	oldKeys    []uint64
+	oldKeys    []uint64 // carved from Tx.keyBuf; nil for undoInsert
 }
 
 // Tx is a single-version transaction: strict two-phase locking with
 // cursor-stability reads at read committed, in-place updates with undo.
+//
+// Tx objects are pooled by their engine: Commit and Abort hand the object,
+// with its bookkeeping slices truncated in place, to the next Begin. A Tx
+// must not be used after Commit or Abort returns; until it is reissued such
+// a call reports ErrTxDone.
 type Tx struct {
 	e    *Engine
 	id   uint64
@@ -74,17 +81,73 @@ type Tx struct {
 	heldRanges []rangeHold
 	undo       []undoRec
 	writes     []wal.Entry
+	// keyBuf backs every undoRec.oldKeys and Update's new-key scratch.
+	// Carved sub-slices are never written again, so when an append moves
+	// keyBuf to a larger array the ones already handed out stay valid.
+	keyBuf []uint64
+	// targets is collectMatches' result buffer. UpdateWhere and DeleteWhere
+	// detach it while they iterate, so a mut that re-enters the Tx gets its
+	// own.
+	targets []*Record
 }
+
+// txKeepMax caps the capacity of each bookkeeping slice a pooled Tx keeps.
+// A checkpoint capture holds one lock per hash bucket; without the cap the
+// pool would pin that bucket-count-sized buffer for the life of the process.
+const txKeepMax = 256
 
 // Begin starts a transaction. Snapshot isolation is not expressible in a
 // single-version engine; it is upgraded to repeatable read, which like
 // serializable holds every read lock to commit.
+//
+// The Tx comes from the engine's pool: it must not be used after Commit or
+// Abort returns.
+//
+//mvlint:noalloc
 func (e *Engine) Begin(level iso.Level) *Tx {
-	return &Tx{
-		e:     e,
-		id:    e.txSeq.Add(1),
-		short: level == iso.ReadCommitted,
+	return e.getTx(e.txSeq.Add(1), level == iso.ReadCommitted, false)
+}
+
+// getTx takes a Tx from the pool and arms it. The pool hands out empty
+// bookkeeping (putTx truncated it).
+func (e *Engine) getTx(id uint64, short, readOnly bool) *Tx {
+	tx := e.txPool.Get().(*Tx)
+	tx.id, tx.done, tx.short, tx.readOnly = id, false, short, readOnly
+	return tx
+}
+
+// putTx empties tx's bookkeeping in place and returns it to the pool. tx's
+// locks are released and it is marked done, so a stale caller sees ErrTxDone
+// until the next Begin reissues the object.
+//
+//mvlint:noalloc
+func (e *Engine) putTx(tx *Tx) {
+	tx.held = recycled(tx.held)
+	tx.heldIdx = nil
+	tx.heldRanges = recycled(tx.heldRanges)
+	tx.undo = recycled(tx.undo)
+	tx.writes = recycled(tx.writes)
+	tx.keyBuf = recycled(tx.keyBuf)
+	tx.targets = recycled(tx.targets)
+	e.txPool.Put(tx)
+}
+
+// recycled returns s emptied for the next transaction, with its old entries
+// cleared so the pool retains no records, tables or payloads; a slice that
+// grew past txKeepMax is dropped instead.
+func recycled[S ~[]E, E any](s S) S {
+	if cap(s) > txKeepMax {
+		return nil
 	}
+	clear(s)
+	return s[:0]
+}
+
+// carveKeys returns n fresh slots at the end of keyBuf.
+func (tx *Tx) carveKeys(n int) []uint64 {
+	at := len(tx.keyBuf)
+	tx.keyBuf = slices.Grow(tx.keyBuf, n)[:at+n]
+	return tx.keyBuf[at : at+n : at+n]
 }
 
 // BeginReadOnly starts a read-only transaction on the 1V fast lane: it draws
@@ -99,9 +162,11 @@ func (e *Engine) Begin(level iso.Level) *Tx {
 // records have no timestamps, so even read-only transactions must take
 // shared locks for read stability (Section 5.2.1). The fast lane removes the
 // two shared counters, not the locks.
+//
+//mvlint:noalloc
 func (e *Engine) BeginReadOnly() *Tx {
 	e.roBegins.Add(1)
-	return &Tx{e: e, readOnly: true}
+	return e.getTx(0, false, true)
 }
 
 // ReadOnly reports whether the transaction is a fast-lane reader.
@@ -172,18 +237,22 @@ func (tx *Tx) lockRange(m *svRangeLocks, lo, hi uint64, excl bool) error {
 	return nil
 }
 
-func (tx *Tx) releaseAll() {
+// finish releases every lock, counts the outcome and returns tx to the
+// pool. tx must not be touched afterwards.
+func (tx *Tx) finish(outcome *atomic.Uint64) {
 	for i := range tx.held {
 		h := &tx.held[i]
 		h.l.releaseBulk(tx.id, h.s, h.x > 0)
 	}
-	tx.held = tx.held[:0]
-	tx.heldIdx = nil
 	for i := range tx.heldRanges {
 		h := &tx.heldRanges[i]
 		h.m.release(h.lo, h.hi, tx.id, h.excl)
 	}
-	tx.heldRanges = nil
+	tx.done = true
+	e := tx.e
+	outcome.Add(1)
+	e.maybeReclaim()
+	e.putTx(tx)
 }
 
 // Scan iterates the records in index indexOrd whose key equals key and whose
@@ -242,9 +311,11 @@ func (tx *Tx) Scan(t *Table, indexOrd int, key uint64, pred Pred, fn func(*Recor
 
 // scanChain walks one record chain, filtering deleted records, key
 // mismatches (hash collisions) and the residual predicate.
+//
+//mvlint:noalloc
 func scanChain(head *Record, ord int, key uint64, pred Pred, fn func(*Record) bool) {
-	for r := head; r != nil; r = r.next[ord] {
-		if r.deleted || r.keys[ord] != key {
+	for r := head; r != nil; r = r.link(ord).next {
+		if r.deleted || r.link(ord).key != key {
 			continue
 		}
 		if pred != nil && !pred(r.payload) {
@@ -291,7 +362,7 @@ func (tx *Tx) ScanRange(t *Table, indexOrd int, lo, hi uint64, pred Pred, fn fun
 	slot := ix.ep.Enter()
 	defer ix.ep.Exit(slot)
 	for n := ix.list.Seek(lo); n != nil && n.Key() <= hi; n = n.Next() {
-		for r := n.V.head; r != nil; r = r.next[indexOrd] {
+		for r := n.V.head; r != nil; r = r.link(indexOrd).next {
 			if r.deleted {
 				continue
 			}
@@ -343,38 +414,35 @@ func (tx *Tx) Insert(t *Table, payload []byte) error {
 	if tx.e.degraded.Load() {
 		return ErrDegraded
 	}
-	r := &Record{
-		payload: payload,
-		keys:    make([]uint64, len(t.indexes)),
-		next:    make([]*Record, len(t.indexes)),
-	}
+	r := newRecord(t, payload)
 	for ord, ix := range t.indexes {
-		r.keys[ord] = ix.keyOf(payload)
-	}
-	for ord, ix := range t.indexes {
-		if err := tx.lockKeyX(ix, r.keys[ord]); err != nil {
+		if err := tx.lockKeyX(ix, r.link(ord).key); err != nil {
 			return err
 		}
 	}
 	for _, ix := range t.indexes {
 		ix.link(r)
 	}
-	tx.undo = append(tx.undo, undoRec{kind: undoInsert, t: t, r: r, oldKeys: append([]uint64(nil), r.keys...)})
-	tx.writes = append(tx.writes, wal.Entry{Table: t.Name, Op: wal.OpInsert, Key: r.keys[0], Payload: payload})
+	tx.undo = append(tx.undo, undoRec{kind: undoInsert, t: t, r: r})
+	tx.writes = append(tx.writes, wal.Entry{Table: t.Name, Op: wal.OpInsert, Key: r.link(0).key, Payload: payload})
 	return nil
 }
 
 // lockRecordX exclusively locks every cover of r, verifying that r's
-// identity did not change while the locks were being acquired.
+// identity did not change while the locks were being acquired. The returned
+// keys are carved from keyBuf.
 func (tx *Tx) lockRecordX(t *Table, r *Record) ([]uint64, error) {
-	keys := append([]uint64(nil), r.keys...)
+	keys := tx.carveKeys(len(t.indexes))
+	for ord := range keys {
+		keys[ord] = r.link(ord).key
+	}
 	for ord, ix := range t.indexes {
 		if err := tx.lockKeyX(ix, keys[ord]); err != nil {
 			return nil, err
 		}
 	}
 	for ord := range t.indexes {
-		if r.keys[ord] != keys[ord] {
+		if r.link(ord).key != keys[ord] {
 			return nil, ErrConflict // relocated concurrently; extremely rare
 		}
 	}
@@ -400,7 +468,7 @@ func (tx *Tx) Update(t *Table, r *Record, newPayload []byte) error {
 	if err != nil {
 		return err
 	}
-	newKeys := make([]uint64, len(t.indexes))
+	newKeys := tx.carveKeys(len(t.indexes))
 	for ord, ix := range t.indexes {
 		newKeys[ord] = ix.keyOf(newPayload)
 	}
@@ -419,20 +487,26 @@ func (tx *Tx) Update(t *Table, r *Record, newPayload []byte) error {
 		oldPayload: r.payload,
 		oldKeys:    oldKeys,
 	})
+	r.payload = newPayload
+	relink(t, r, newKeys)
+	tx.writes = append(tx.writes, wal.Entry{Table: t.Name, Op: wal.OpUpdate, Key: newKeys[0], Payload: newPayload})
+	return nil
+}
+
+// relink moves r to the chains of keys in every index whose key differs from
+// r's cached one. The caller holds the exclusive covers of both keys.
+func relink(t *Table, r *Record, keys []uint64) {
 	for ord, ix := range t.indexes {
-		if newKeys[ord] != oldKeys[ord] {
-			ix.unlink(r, oldKeys[ord])
+		if l := r.link(ord); l.key != keys[ord] {
+			ix.unlink(r, l.key)
 		}
 	}
-	r.payload = newPayload
-	copy(r.keys, newKeys)
 	for ord, ix := range t.indexes {
-		if newKeys[ord] != oldKeys[ord] {
+		if l := r.link(ord); l.key != keys[ord] {
+			l.key = keys[ord]
 			ix.link(r)
 		}
 	}
-	tx.writes = append(tx.writes, wal.Entry{Table: t.Name, Op: wal.OpUpdate, Key: newKeys[0], Payload: newPayload})
-	return nil
 }
 
 // Delete marks r deleted; the record is physically unlinked at commit, while
@@ -467,7 +541,6 @@ func (tx *Tx) Delete(t *Table, r *Record) error {
 // feeds an update, so cursor stability must extend to the write) and returns
 // the matching records.
 func (tx *Tx) collectMatches(t *Table, indexOrd int, key uint64, pred Pred) ([]*Record, error) {
-	var targets []*Record
 	var head *Record
 	switch ix := t.indexes[indexOrd].(type) {
 	case *hashIndex:
@@ -486,16 +559,28 @@ func (tx *Tx) collectMatches(t *Table, indexOrd int, key uint64, pred Pred) ([]*
 		}
 		defer ix.ep.Exit(slot)
 	}
-	for r := head; r != nil; r = r.next[indexOrd] {
-		if r.deleted || r.keys[indexOrd] != key {
-			continue
-		}
-		if pred != nil && !pred(r.payload) {
-			continue
-		}
+	// Detach the buffer while the caller iterates the result: a mut that
+	// re-enters the Tx must not append into it. putTargets reattaches it.
+	targets := tx.targets
+	tx.targets = nil
+	scanChain(head, indexOrd, key, pred, func(r *Record) bool {
 		targets = append(targets, r)
-	}
+		return true
+	})
 	return targets, nil
+}
+
+// putTargets hands a collectMatches result back to tx for reuse and returns
+// what UpdateWhere and DeleteWhere report: the number of targets, or 0 and
+// err when one of them failed.
+func (tx *Tx) putTargets(targets []*Record, err error) (int, error) {
+	n := len(targets)
+	clear(targets)
+	tx.targets = targets[:0]
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // UpdateWhere updates every matching record with mut(old payload), returning
@@ -512,11 +597,11 @@ func (tx *Tx) UpdateWhere(t *Table, indexOrd int, key uint64, pred Pred, mut fun
 		return 0, err
 	}
 	for _, r := range targets {
-		if err := tx.Update(t, r, mut(r.payload)); err != nil {
-			return 0, err
+		if err = tx.Update(t, r, mut(r.payload)); err != nil {
+			break
 		}
 	}
-	return len(targets), nil
+	return tx.putTargets(targets, err)
 }
 
 // DeleteWhere deletes every matching record, returning the number deleted.
@@ -532,11 +617,11 @@ func (tx *Tx) DeleteWhere(t *Table, indexOrd int, key uint64, pred Pred) (int, e
 		return 0, err
 	}
 	for _, r := range targets {
-		if err := tx.Delete(t, r); err != nil {
-			return 0, err
+		if err = tx.Delete(t, r); err != nil {
+			break
 		}
 	}
-	return len(targets), nil
+	return tx.putTargets(targets, err)
 }
 
 // Commit writes the redo record, physically removes deleted records (still
@@ -564,15 +649,12 @@ func (tx *Tx) CommitTS() (uint64, error) {
 		return 0, ErrTxDone
 	}
 	if len(tx.writes) == 0 && len(tx.undo) == 0 {
-		tx.releaseAll()
-		tx.done = true
-		tx.e.commits.Add(1)
 		tx.e.fastCommits.Add(1)
-		tx.e.maybeReclaim()
+		tx.finish(&tx.e.commits)
 		return 0, nil
 	}
 	// The end sequence is drawn while every 2PL lock is still held (they
-	// release in releaseAll below): a committer our locks delayed draws
+	// release in finish below): a committer our locks delayed draws
 	// strictly after this draw returned, so the commit sequence never
 	// reorders across a lock release.
 	endTS := tx.e.endSeq.Next()
@@ -595,14 +677,11 @@ func (tx *Tx) CommitTS() (uint64, error) {
 		u := &tx.undo[i]
 		if u.kind == undoDelete {
 			for ord, ix := range u.t.indexes {
-				ix.unlink(u.r, u.r.keys[ord])
+				ix.unlink(u.r, u.r.link(ord).key)
 			}
 		}
 	}
-	tx.releaseAll()
-	tx.done = true
-	tx.e.commits.Add(1)
-	tx.e.maybeReclaim()
+	tx.finish(&tx.e.commits)
 	return endTS, nil
 }
 
@@ -615,35 +694,22 @@ func (tx *Tx) Abort() error {
 	return nil
 }
 
+// rollback undoes every change in reverse order, then finishes tx as an
+// abort.
 func (tx *Tx) rollback() {
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		u := &tx.undo[i]
 		switch u.kind {
 		case undoInsert:
 			for ord, ix := range u.t.indexes {
-				ix.unlink(u.r, u.r.keys[ord])
+				ix.unlink(u.r, u.r.link(ord).key)
 			}
 		case undoUpdate:
-			changed := make([]bool, len(u.t.indexes))
-			for ord, ix := range u.t.indexes {
-				if u.r.keys[ord] != u.oldKeys[ord] {
-					changed[ord] = true
-					ix.unlink(u.r, u.r.keys[ord])
-				}
-			}
 			u.r.payload = u.oldPayload
-			copy(u.r.keys, u.oldKeys)
-			for ord, ix := range u.t.indexes {
-				if changed[ord] {
-					ix.link(u.r)
-				}
-			}
+			relink(u.t, u.r, u.oldKeys)
 		case undoDelete:
 			u.r.deleted = false
 		}
 	}
-	tx.releaseAll()
-	tx.done = true
-	tx.e.aborts.Add(1)
-	tx.e.maybeReclaim()
+	tx.finish(&tx.e.aborts)
 }
