@@ -494,7 +494,7 @@ func (r Row) Valid() bool { return r.mvV != nil || r.svR != nil }
 func (tx *Tx) Scan(t *Table, index int, key uint64, pred Pred, fn func(Row) bool) error {
 	if tx.mvTx != nil {
 		return tx.mvTx.Scan(t.mvT, index, key, mv.Pred(pred), func(v *storage.Version) bool {
-			return fn(Row{payload: v.Payload, mvV: v})
+			return fn(Row{payload: v.Payload(), mvV: v})
 		})
 	}
 	if tx.svTx == nil {
@@ -519,7 +519,7 @@ func (tx *Tx) Scan(t *Table, index int, key uint64, pred Pred, fn func(Row) bool
 func (tx *Tx) ScanRange(t *Table, index int, lo, hi uint64, pred Pred, fn func(Row) bool) error {
 	if tx.mvTx != nil {
 		return tx.mvTx.ScanRange(t.mvT, index, lo, hi, mv.Pred(pred), func(v *storage.Version) bool {
-			return fn(Row{payload: v.Payload, mvV: v})
+			return fn(Row{payload: v.Payload(), mvV: v})
 		})
 	}
 	if tx.svTx == nil {

@@ -65,7 +65,7 @@ func (e *Engine) captureTable(t *storage.Table, s uint64, fn func(t *storage.Tab
 			if !visibleAt(v, s) {
 				continue
 			}
-			if err := fn(t, v.Key(0), v.Payload); err != nil {
+			if err := fn(t, v.Key(0), v.Payload()); err != nil {
 				return err
 			}
 		}

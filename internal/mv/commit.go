@@ -144,7 +144,7 @@ func (tx *Tx) CommitTS() (uint64, error) {
 			wr := &tx.writeSet[i]
 			e := wal.Entry{Table: wr.table.Name, Op: wr.op, Key: wr.key}
 			if wr.newV != nil {
-				e.Payload = wr.newV.Payload
+				e.Payload = wr.newV.Payload()
 			}
 			rec.Ops = append(rec.Ops, e)
 		}
@@ -382,7 +382,7 @@ func (tx *Tx) validate(end uint64) error {
 func (tx *Tx) rescan(sc *scanRecord, end uint64) error {
 	ord := sc.ix.Ord()
 	check := func(v *storage.Version) error {
-		if sc.pred != nil && !sc.pred(v.Payload) {
+		if sc.pred != nil && !sc.pred(v.Payload()) {
 			return nil
 		}
 		bw := v.Begin()

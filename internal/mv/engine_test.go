@@ -51,7 +51,7 @@ func readVal(t *testing.T, tx *Tx, tbl *storage.Table, key uint64) (uint64, bool
 	if !ok {
 		return 0, false
 	}
-	return payloadVal(v.Payload), true
+	return payloadVal(v.Payload()), true
 }
 
 func writeVal(t *testing.T, tx *Tx, tbl *storage.Table, key, val uint64) error {
@@ -418,7 +418,7 @@ func TestGarbageCollectionReclaims(t *testing.T) {
 	n := 0
 	ix := tbl.Index(0)
 	for v := ix.Lookup(1).Head(); v != nil; v = v.Next(0) {
-		if payloadKey(v.Payload) == 1 {
+		if payloadKey(v.Payload()) == 1 {
 			n++
 		}
 	}

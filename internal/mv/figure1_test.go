@@ -81,7 +81,7 @@ func TestFigure1Scenario(t *testing.T) {
 	// John version in bucket J.
 	var johnNew *storage.Version
 	for v := tbl.Index(0).Lookup(nameKey([]byte("J"))).Head(); v != nil; v = v.Next(0) {
-		if accountName(v.Payload) == "John" && accountAmount(v.Payload) == 130 {
+		if accountName(v.Payload()) == "John" && accountAmount(v.Payload()) == 130 {
 			johnNew = v
 		}
 	}
@@ -99,7 +99,7 @@ func TestFigure1Scenario(t *testing.T) {
 	jane, ok, err := tx75.Lookup(tbl, 0, nameKey([]byte("J")), func(p []byte) bool {
 		return accountName(p) == "Jane"
 	})
-	if err != nil || !ok || accountAmount(jane.Payload) != 150 {
+	if err != nil || !ok || accountAmount(jane.Payload()) != 150 {
 		t.Fatal("Jane's version disturbed")
 	}
 
@@ -109,8 +109,8 @@ func TestFigure1Scenario(t *testing.T) {
 	j, _, _ := reader.Lookup(tbl, 0, nameKey([]byte("J")), func(p []byte) bool {
 		return accountName(p) == "John"
 	})
-	if accountAmount(j.Payload) != 110 {
-		t.Fatalf("concurrent reader sees %d, want 110", accountAmount(j.Payload))
+	if accountAmount(j.Payload()) != 110 {
+		t.Fatalf("concurrent reader sees %d, want 110", accountAmount(j.Payload()))
 	}
 	if err := reader.Commit(); err != nil {
 		t.Fatal(err)
@@ -139,9 +139,9 @@ func TestFigure1Scenario(t *testing.T) {
 	l2, _, _ := after.Lookup(tbl, 0, nameKey([]byte("L")), func(p []byte) bool {
 		return accountName(p) == "Larry"
 	})
-	if accountAmount(j2.Payload) != 130 || accountAmount(l2.Payload) != 150 {
+	if accountAmount(j2.Payload()) != 130 || accountAmount(l2.Payload()) != 150 {
 		t.Fatalf("post-commit balances John=%d Larry=%d, want 130/150",
-			accountAmount(j2.Payload), accountAmount(l2.Payload))
+			accountAmount(j2.Payload()), accountAmount(l2.Payload()))
 	}
 	if err := after.Commit(); err != nil {
 		t.Fatal(err)

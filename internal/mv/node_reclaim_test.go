@@ -204,7 +204,7 @@ func TestScanRangeReclaimChurnRace(t *testing.T) {
 						}
 						prev := int64(-1)
 						err := tx.ScanRange(tbl, 0, lo, hi, nil, func(v *storage.Version) bool {
-							k := payloadKey(v.Payload)
+							k := payloadKey(v.Payload())
 							if k > hi || int64(k) <= prev {
 								t.Errorf("scan yielded key %d after %d (hi %d)", k, prev, hi)
 								fail.Store(true)
@@ -343,7 +343,7 @@ func TestRangeLockPublicationRace(t *testing.T) {
 				}
 				tx := e.Begin(Pessimistic, Serializable)
 				err := tx.ScanRange(tbl, 0, 0, 2*pairs-1, nil, func(v *storage.Version) bool {
-					counts[payloadKey(v.Payload)/2]++
+					counts[payloadKey(v.Payload())/2]++
 					return true
 				})
 				if err != nil {

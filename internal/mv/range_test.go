@@ -34,7 +34,7 @@ func collectRange(t *testing.T, tx *Tx, tbl *storage.Table, lo, hi uint64) []uin
 	t.Helper()
 	var keys []uint64
 	err := tx.ScanRange(tbl, 0, lo, hi, nil, func(v *storage.Version) bool {
-		keys = append(keys, payloadKey(v.Payload))
+		keys = append(keys, payloadKey(v.Payload()))
 		return true
 	})
 	if err != nil {
@@ -259,7 +259,7 @@ func TestOrderedRecycleStress(t *testing.T) {
 					tx := e.Begin(scheme, Serializable)
 					lo := rng.Uint64() % baseRows
 					err := tx.ScanRange(tbl, 0, lo, lo+8, nil, func(v *storage.Version) bool {
-						if !stressRowOK(v.Payload) {
+						if !stressRowOK(v.Payload()) {
 							bad.Add(1)
 						}
 						return true
@@ -272,7 +272,7 @@ func TestOrderedRecycleStress(t *testing.T) {
 				case 1: // snapshot range scan on the read-only fast lane
 					tx := e.BeginReadOnly()
 					err := tx.ScanRange(tbl, 0, 0, baseRows+16, nil, func(v *storage.Version) bool {
-						if !stressRowOK(v.Payload) {
+						if !stressRowOK(v.Payload()) {
 							bad.Add(1)
 						}
 						return true
@@ -319,7 +319,7 @@ func TestOrderedRecycleStress(t *testing.T) {
 	// Survivors must still verify.
 	tx := e.BeginReadOnly()
 	err = tx.ScanRange(tbl, 0, 0, baseRows+16, nil, func(v *storage.Version) bool {
-		if !stressRowOK(v.Payload) {
+		if !stressRowOK(v.Payload()) {
 			t.Error("corrupt survivor")
 		}
 		return true

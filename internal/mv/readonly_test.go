@@ -55,7 +55,7 @@ func TestReadOnlyZeroIncrementsAndNoRegistration(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("lookup: ok=%v err=%v", ok, err)
 		}
-		if !stressRowOK(v.Payload) {
+		if !stressRowOK(v.Payload()) {
 			t.Fatal("corrupt payload")
 		}
 		if err := tx.Commit(); err != nil {
@@ -130,7 +130,7 @@ func TestReadOnlySnapshotIgnoresLaterCommits(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("reader lookup: ok=%v err=%v", ok, err)
 	}
-	if val := binary.LittleEndian.Uint64(got.Payload[8:]); val != 1 {
+	if val := binary.LittleEndian.Uint64(got.Payload()[8:]); val != 1 {
 		t.Fatalf("reader saw post-snapshot value %d, want 1", val)
 	}
 	if err := ro.Commit(); err != nil {
@@ -143,7 +143,7 @@ func TestReadOnlySnapshotIgnoresLaterCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if val := binary.LittleEndian.Uint64(got.Payload[8:]); val != 100 {
+	if val := binary.LittleEndian.Uint64(got.Payload()[8:]); val != 100 {
 		t.Fatalf("fresh reader saw %d, want 100", val)
 	}
 	if err := ro2.Commit(); err != nil {
@@ -237,8 +237,8 @@ func TestReadOnlySnapshotStress(t *testing.T) {
 					tx.Abort()
 					continue
 				}
-				valA := binary.LittleEndian.Uint64(va.Payload[8:])
-				valB := binary.LittleEndian.Uint64(vb.Payload[8:])
+				valA := binary.LittleEndian.Uint64(va.Payload()[8:])
+				valB := binary.LittleEndian.Uint64(vb.Payload()[8:])
 				if valA < amount {
 					tx.Abort()
 					continue
@@ -279,13 +279,13 @@ func TestReadOnlySnapshotStress(t *testing.T) {
 					tx.Abort()
 					return
 				}
-				if !stressRowOK(va.Payload) || !stressRowOK(vb.Payload) {
+				if !stressRowOK(va.Payload()) || !stressRowOK(vb.Payload()) {
 					t.Error("reader saw a corrupt payload (use-after-recycle)")
 					fail.Store(true)
 					tx.Abort()
 					return
 				}
-				sum := binary.LittleEndian.Uint64(va.Payload[8:]) + binary.LittleEndian.Uint64(vb.Payload[8:])
+				sum := binary.LittleEndian.Uint64(va.Payload()[8:]) + binary.LittleEndian.Uint64(vb.Payload()[8:])
 				if sum != 1000 {
 					t.Errorf("inconsistent snapshot: pair %d sums to %d, want 1000", pair, sum)
 					fail.Store(true)

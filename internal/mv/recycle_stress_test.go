@@ -93,7 +93,7 @@ func TestRecycleStress(t *testing.T) {
 					for j := 0; j < 8; j++ {
 						k := rng.Uint64() % rows
 						err := tx.Scan(tbl, 0, k, nil, func(v *storage.Version) bool {
-							if !stressRowOK(v.Payload) || binary.LittleEndian.Uint64(v.Payload) != k {
+							if !stressRowOK(v.Payload()) || binary.LittleEndian.Uint64(v.Payload()) != k {
 								corrupt.Add(1)
 							}
 							return true // walk the whole version chain
@@ -115,7 +115,7 @@ func TestRecycleStress(t *testing.T) {
 						tx.Abort()
 						continue
 					}
-					if found && !stressRowOK(v.Payload) {
+					if found && !stressRowOK(v.Payload()) {
 						corrupt.Add(1)
 					}
 					_ = tx.Commit()

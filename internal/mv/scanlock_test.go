@@ -116,7 +116,7 @@ func TestScanLockRowsNotReadLocked(t *testing.T) {
 			}
 			for _, v := range vs {
 				if got := readLockCount(v); got != c.readers {
-					t.Fatalf("row %d: Readers = %d, want %d", payloadKey(v.Payload), got, c.readers)
+					t.Fatalf("row %d: Readers = %d, want %d", payloadKey(v.Payload()), got, c.readers)
 				}
 			}
 			mustCommit(t, tx)
@@ -147,11 +147,11 @@ func TestScanLockReadLocksForeignWrite(t *testing.T) {
 	}
 	for _, v := range vs {
 		want := 0
-		if payloadKey(v.Payload) == 5 {
+		if payloadKey(v.Payload()) == 5 {
 			want = 1
 		}
 		if got := readLockCount(v); got != want {
-			t.Fatalf("row %d: Readers = %d, want %d", payloadKey(v.Payload), got, want)
+			t.Fatalf("row %d: Readers = %d, want %d", payloadKey(v.Payload()), got, want)
 		}
 	}
 	commitsAfter(t, writer, scanner)

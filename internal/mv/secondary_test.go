@@ -52,7 +52,7 @@ func TestSecondaryDuplicateChains(t *testing.T) {
 	tx := e.Begin(Optimistic, SnapshotIsolation)
 	perGroup := make(map[uint64]int)
 	err := tx.ScanRange(tbl, 1, 0, secGroups-1, nil, func(v *storage.Version) bool {
-		perGroup[secGroupKey(v.Payload)]++
+		perGroup[secGroupKey(v.Payload())]++
 		return true
 	})
 	if err != nil {
@@ -164,12 +164,12 @@ func TestSecondaryChurnRaceMV(t *testing.T) {
 				seen := make(map[uint64]bool)
 				lo := uint64(rng.Intn(secGroups))
 				err := tx.ScanRange(tbl, 1, lo, secGroups-1, nil, func(v *storage.Version) bool {
-					k := payloadKey(v.Payload)
+					k := payloadKey(v.Payload())
 					if seen[k] {
 						t.Errorf("row %d visible twice in one snapshot scan", k)
 					}
 					seen[k] = true
-					if g := secGroupKey(v.Payload); g < lo || g >= secGroups {
+					if g := secGroupKey(v.Payload()); g < lo || g >= secGroups {
 						t.Errorf("row %d in group %d leaked into [%d, %d]", k, g, lo, secGroups-1)
 					}
 					return true
@@ -195,7 +195,7 @@ func TestSecondaryChurnRaceMV(t *testing.T) {
 	tx := e.Begin(Optimistic, SnapshotIsolation)
 	live := make(map[uint64]int)
 	if err := tx.ScanRange(tbl, 1, 0, secGroups-1, nil, func(v *storage.Version) bool {
-		live[payloadKey(v.Payload)]++
+		live[payloadKey(v.Payload())]++
 		return true
 	}); err != nil {
 		t.Fatal(err)

@@ -162,7 +162,7 @@ func (tx *Tx) scan(t *storage.Table, indexOrd int, key uint64, pred Pred, forUpd
 		if v.Key(indexOrd) != key {
 			continue
 		}
-		if pred != nil && !pred(v.Payload) {
+		if pred != nil && !pred(v.Payload()) {
 			continue
 		}
 		cont, err := tx.visit(v, rt, ser, forUpdate, fn)
@@ -221,7 +221,7 @@ func (tx *Tx) scanRange(t *storage.Table, indexOrd int, lo, hi uint64, pred Pred
 			return nil
 		}
 		for v := b.Head(); v != nil; v = v.Next(indexOrd) {
-			if pred != nil && !pred(v.Payload) {
+			if pred != nil && !pred(v.Payload()) {
 				continue
 			}
 			cont, err := tx.visit(v, rt, ser, forUpdate, fn)
@@ -604,7 +604,7 @@ func (tx *Tx) Delete(t *storage.Table, old *storage.Version) error {
 		tx.T.AddWaitFor()
 		tx.updatedReadLocked = true
 	}
-	tx.writeSet = append(tx.writeSet, writeRec{t, old, nil, wal.OpDelete, t.Index(0).Key(old.Payload)})
+	tx.writeSet = append(tx.writeSet, writeRec{t, old, nil, wal.OpDelete, t.Index(0).Key(old.Payload())})
 	// Every key of the deleted version leaves its index: a serializable scan
 	// lock on any of them makes tx wait for the holder, as an insert would.
 	// The check follows the write lock for the same reason Insert's follows
@@ -627,7 +627,7 @@ func (tx *Tx) Delete(t *storage.Table, old *storage.Version) error {
 func (tx *Tx) UpdateWhere(t *storage.Table, indexOrd int, key uint64, pred Pred, mut func(old []byte) []byte) (int, error) {
 	n := 0
 	err := tx.scan(t, indexOrd, key, pred, true, func(v *storage.Version) (bool, error) {
-		if err := tx.Update(t, v, mut(v.Payload)); err != nil {
+		if err := tx.Update(t, v, mut(v.Payload())); err != nil {
 			return false, err
 		}
 		n++

@@ -60,15 +60,15 @@ func TestVersionArenaPayloadRecycled(t *testing.T) {
 	var p VersionPool
 	payload := bytes.Repeat([]byte{0xAB}, 200)
 	v := p.GetIn(&a, payload, 1, 1, 2)
-	if !bytes.Equal(v.Payload, payload) {
+	if !bytes.Equal(v.Payload(), payload) {
 		t.Fatal("arena-backed payload mismatch")
 	}
-	if &v.Payload[0] == &payload[0] {
+	if &v.Payload()[0] == &payload[0] {
 		t.Fatal("large payload retained by reference despite arena")
 	}
 	// Mutating the caller's slice must not affect the version.
 	payload[0] = 0xCD
-	if v.Payload[0] != 0xAB {
+	if v.Payload()[0] != 0xAB {
 		t.Fatal("version payload aliases the caller's buffer")
 	}
 	p.Put(v)
@@ -81,6 +81,14 @@ func TestVersionArenaPayloadRecycled(t *testing.T) {
 		t.Fatalf("Put on version recycle did not return the block (reuses=%d)", a.Reuses())
 	}
 	_ = b
+	// A version rearmed in place, without passing through Put, returns its
+	// block as well.
+	w := p.GetIn(&a, payload, 1, 1, 2)
+	w.ResetIn(&a, []byte("small"), 1, 1, 2)
+	a.Get(200)
+	if a.Reuses() != 2 {
+		t.Fatalf("ResetIn over an arena payload did not return the block (reuses=%d)", a.Reuses())
+	}
 }
 
 func TestVersionInlineStillInline(t *testing.T) {
@@ -88,7 +96,7 @@ func TestVersionInlineStillInline(t *testing.T) {
 	var p VersionPool
 	small := []byte("hello")
 	v := p.GetIn(&a, small, 1, 1, 2)
-	if &v.Payload[0] != &v.inline[0] {
+	if &v.Payload()[0] != &v.inline[0] {
 		t.Fatal("small payload not inlined when an arena is present")
 	}
 	p.Put(v)

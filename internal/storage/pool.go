@@ -62,11 +62,10 @@ func (p *VersionPool) Put(v *Version) {
 	// Drop the payload reference now: for large (non-inline) payloads this
 	// releases the caller's buffer even while the version sits in the pool,
 	// and arena blocks go back to their slab for the next oversized row.
-	if v.arena != nil {
-		v.arena.Put(v.arenaBuf)
-		v.arena, v.arenaBuf = nil, nil
+	if v.ext != nil {
+		v.ext.releaseBlock()
 	}
-	v.Payload = nil
+	v.payload, v.plen = nil, 0
 	p.pool.Put(v)
 }
 

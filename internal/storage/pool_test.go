@@ -11,13 +11,13 @@ func TestVersionInlinePayloadCopied(t *testing.T) {
 	src := []byte{1, 2, 3, 4}
 	v := NewVersion(src, 1, field.FromTS(1), field.FromTS(field.Infinity))
 	src[0] = 99 // caller reuses its buffer; the version must be unaffected
-	if !bytes.Equal(v.Payload, []byte{1, 2, 3, 4}) {
-		t.Fatalf("inline payload aliases the caller's buffer: %v", v.Payload)
+	if !bytes.Equal(v.Payload(), []byte{1, 2, 3, 4}) {
+		t.Fatalf("inline payload aliases the caller's buffer: %v", v.Payload())
 	}
 	big := make([]byte, InlinePayload+1)
 	big[0] = 7
 	vb := NewVersion(big, 1, field.FromTS(1), field.FromTS(field.Infinity))
-	if &vb.Payload[0] != &big[0] {
+	if &vb.Payload()[0] != &big[0] {
 		t.Fatal("oversized payload should be retained by reference, not copied")
 	}
 }
@@ -36,8 +36,8 @@ func TestVersionPoolReuse(t *testing.T) {
 	if v2 != v1 {
 		t.Skip("pool did not return the recycled object")
 	}
-	if !bytes.Equal(v2.Payload, []byte{9, 9}) {
-		t.Fatalf("payload not reset: %v", v2.Payload)
+	if !bytes.Equal(v2.Payload(), []byte{9, 9}) {
+		t.Fatalf("payload not reset: %v", v2.Payload())
 	}
 	if v2.Next(0) != nil {
 		t.Fatal("chain pointer survived recycling")

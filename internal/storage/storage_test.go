@@ -48,7 +48,7 @@ func TestInsertAndChainWalk(t *testing.T) {
 	found := 0
 	for i := uint64(0); i < 100; i++ {
 		for v := ix.Lookup(i).Head(); v != nil; v = v.Next(0) {
-			if keyOf(v.Payload) == i {
+			if keyOf(v.Payload()) == i {
 				found++
 				break
 			}
@@ -120,8 +120,8 @@ func TestMultiIndex(t *testing.T) {
 	ix := tbl.Index(1)
 	got := map[uint64]bool{}
 	for v := ix.Lookup(1).Head(); v != nil; v = v.Next(1) {
-		if keyOf(v.Payload)%3 == 1 {
-			got[keyOf(v.Payload)] = true
+		if keyOf(v.Payload())%3 == 1 {
+			got[keyOf(v.Payload())] = true
 		}
 	}
 	for _, want := range []uint64{1, 4, 7} {
@@ -192,7 +192,7 @@ func TestConcurrentInsertUnlinkRead(t *testing.T) {
 				}
 				for i := uint64(0); i < 8; i++ {
 					for v := hashIx(tbl).BucketAt(int(i)).Head(); v != nil; v = v.Next(0) {
-						_ = v.Payload
+						_ = v.Payload()
 					}
 				}
 			}
@@ -289,7 +289,7 @@ func TestQuickInsertReachable(t *testing.T) {
 		},
 	})
 	reach := func(v *Version, ord int) bool {
-		key := tbl.Index(ord).Key(v.Payload)
+		key := tbl.Index(ord).Key(v.Payload())
 		for c := tbl.Index(ord).Lookup(key).Head(); c != nil; c = c.Next(ord) {
 			if c == v {
 				return true

@@ -168,7 +168,7 @@ func (t *Table) IndexByName(name string) (Index, bool) {
 // count.
 func (t *Table) Insert(v *Version) {
 	for _, ix := range t.indexes {
-		v.setKey(ix.Ord(), ix.Key(v.Payload))
+		v.setKey(ix.Ord(), ix.Key(v.Payload()))
 	}
 	for _, ix := range t.indexes {
 		ix.Link(v)

@@ -12,6 +12,7 @@ package storage
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/field"
 )
@@ -19,45 +20,67 @@ import (
 // InlinePayload is the size of a version's inline payload buffer: payloads
 // at most this long are copied into the version itself, so small fixed-width
 // records (the paper's 24-byte rows, every TATP row) need no separate
-// payload allocation. Larger payloads are retained by reference.
-const InlinePayload = 48
+// payload allocation. Larger payloads live in the table's arena or are
+// retained by reference.
+const InlinePayload = 56
 
 // Version is one version of a record. The payload is immutable after
 // creation; updates create new versions (Section 2.3).
 //
-// The chain pointers and cached index keys for the first two indexes live
-// inline in the struct — scans touch one cache line per version — with a
-// spill slice for tables with more indexes.
+// A Version is 128 bytes, a Go size class whose objects start 128-byte
+// aligned, so each version occupies exactly two cache lines:
+//
+//   - line 0 holds everything a chain walk and a visibility check read: the
+//     Begin and End words, the chain pointers and cached keys of the first
+//     two indexes, and the payload's address and length;
+//   - line 1 holds the inline payload and the pointer to the rarely needed
+//     extension (chain slots of ordinals 2 and up, an arena payload block).
+//
+// A reader that skips a version (another key in its hash bucket, a version
+// it cannot see) touches only line 0.
 //
 // Versions may be pooled: after the garbage collector has unlinked a version
 // from every index AND the watermark has passed the unlink time (so no
 // transaction that could still reach it remains active), Reset rearms the
 // object for a new record. All reader-reachable mutable words (begin, end,
 // next pointers) are atomic, so recycling never races with stale readers.
+//
+//mvlint:padded
 type Version struct {
-	begin atomic.Uint64
-	end   atomic.Uint64
-	// Payload is the record's user data. It must not be modified after the
-	// version is installed in an index, and must not be retained past the
-	// reading transaction's lifetime: it may point into the version's inline
-	// buffer, which is reused when the version is recycled.
-	Payload []byte
-
+	//mvlint:cacheline
+	begin        atomic.Uint64
+	end          atomic.Uint64
 	next0, next1 atomic.Pointer[Version]
 	key0, key1   uint64
-	nextX        []atomic.Pointer[Version]
-	keysX        []uint64
-
+	// payload and plen describe the record's user data: the inline buffer,
+	// an arena block or the caller's slice. See Payload.
+	payload *byte
+	plen    uint32
 	// unlinked is set once the version has been removed from every index by
 	// the garbage collector, guarding against double unlinks.
 	unlinked atomic.Bool
 
-	// arena and arenaBuf track a payload block borrowed from a table's slab
-	// arena; VersionPool.Put returns the block when the version is recycled.
-	arena    *PayloadArena
-	arenaBuf []byte
-
+	//mvlint:cacheline
+	ext    *versionExt
 	inline [InlinePayload]byte
+}
+
+// versionExt holds what only some versions need: the chain slots of index
+// ordinals 2 and up, and the arena block behind a payload too big for the
+// inline buffer. It is allocated the first time a version needs it and stays
+// with the version across recycles, so steady-state reuse allocates nothing.
+type versionExt struct {
+	more []link
+	// arena and block track a payload block borrowed from a table's slab
+	// arena; VersionPool.Put returns the block when the version is recycled.
+	arena *PayloadArena
+	block []byte
+}
+
+// link is one index's chain slot: the successor and the cached key.
+type link struct {
+	next atomic.Pointer[Version]
+	key  uint64
 }
 
 // NewVersion allocates a version with room for chains in nindexes indexes.
@@ -70,7 +93,7 @@ func NewVersion(payload []byte, nindexes int, begin, end uint64) *Version {
 }
 
 // Reset rearms a version for reuse: it installs the payload (copying small
-// payloads into the inline buffer), sizes the spill chain slices for
+// payloads into the inline buffer), sizes the spill chain slots for
 // nindexes, clears every chain pointer and the unlinked flag, and stores the
 // Begin and End words. The caller must guarantee the version is unreachable:
 // unlinked from every index, with every transaction that might still hold a
@@ -84,49 +107,48 @@ func (v *Version) Reset(payload []byte, nindexes int, begin, end uint64) {
 // being retained by reference, so they are recycled with the version. A nil
 // arena, or a payload the arena does not serve, retains the caller's slice
 // as before.
+//
+//mvlint:noalloc
 func (v *Version) ResetIn(a *PayloadArena, payload []byte, nindexes int, begin, end uint64) {
-	if v.arena != nil {
+	x := v.ext
+	if x != nil {
 		// Rearmed without passing through VersionPool.Put: return the old
 		// slab block first (the unreachability contract makes this safe).
-		v.arena.Put(v.arenaBuf)
-		v.arena, v.arenaBuf = nil, nil
+		x.releaseBlock()
+		// Clear the whole spill capacity (not just the old length) so a
+		// pooled version doesn't retain chain pointers from a previous table.
+		more := x.more[:cap(x.more)]
+		for i := range more {
+			more[i].next.Store(nil)
+			more[i].key = 0
+		}
+		x.more = x.more[:0]
+	}
+	n := len(payload)
+	var block []byte
+	if n > InlinePayload && a != nil {
+		block = a.Get(n)
 	}
 	switch {
-	case len(payload) <= InlinePayload:
-		v.Payload = v.inline[:len(payload)]
-		copy(v.Payload, payload)
-	case a != nil:
-		if buf := a.Get(len(payload)); buf != nil {
-			copy(buf, payload)
-			v.arena, v.arenaBuf = a, buf
-			v.Payload = buf
-		} else {
-			v.Payload = payload
-		}
+	case n <= InlinePayload:
+		copy(v.inline[:], payload)
+		v.payload = &v.inline[0]
+	case block != nil:
+		x = v.extension()
+		x.arena, x.block = a, block
+		copy(block, payload)
+		v.payload = &block[0]
 	default:
-		v.Payload = payload
+		v.payload = unsafe.SliceData(payload)
 	}
-	// Clear the whole spill capacity (not just the new length) so a pooled
-	// version doesn't retain chain pointers from a previous table.
-	spill := v.nextX[:cap(v.nextX)]
-	for i := range spill {
-		spill[i].Store(nil)
-	}
-	keys := v.keysX[:cap(v.keysX)]
-	for i := range keys {
-		keys[i] = 0
-	}
+	// The WAL frames payload lengths as 32 bits too (wal.EncodeRecord).
+	v.plen = uint32(n)
 	if nindexes > 2 {
-		if cap(v.nextX) >= nindexes-2 {
-			v.nextX = v.nextX[:nindexes-2]
-			v.keysX = v.keysX[:nindexes-2]
-		} else {
-			v.nextX = make([]atomic.Pointer[Version], nindexes-2)
-			v.keysX = make([]uint64, nindexes-2)
+		x = v.extension()
+		if cap(x.more) < nindexes-2 {
+			x.growMore(nindexes - 2)
 		}
-	} else {
-		v.nextX = v.nextX[:0]
-		v.keysX = v.keysX[:0]
+		x.more = x.more[:nindexes-2]
 	}
 	v.next0.Store(nil)
 	v.next1.Store(nil)
@@ -135,6 +157,41 @@ func (v *Version) ResetIn(a *PayloadArena, payload []byte, nindexes int, begin, 
 	v.begin.Store(begin)
 	v.end.Store(end)
 }
+
+// extension returns the version's extension, allocating it on first use.
+func (v *Version) extension() *versionExt {
+	if v.ext == nil {
+		v.ext = newVersionExt()
+	}
+	return v.ext
+}
+
+// newVersionExt is the extension's one-time allocation, kept out of line so
+// ResetIn's reuse path stays allocation free (mvlint/noalloc).
+//
+//go:noinline
+func newVersionExt() *versionExt { return &versionExt{} }
+
+// growMore replaces the spill slots with room for n ordinals: a version
+// recycled into a table with more indexes than any table it served before.
+//
+//go:noinline
+func (x *versionExt) growMore(n int) { x.more = make([]link, 0, n) }
+
+// releaseBlock hands the payload's arena block, if any, back to its arena.
+func (x *versionExt) releaseBlock() {
+	if x.arena != nil {
+		x.arena.Put(x.block)
+		x.arena, x.block = nil, nil
+	}
+}
+
+// Payload returns the record's user data. It must not be modified, and must
+// not be retained past the reading transaction's lifetime: it may point into
+// the version's inline buffer or an arena block, both reused when the
+// version is recycled. Its capacity equals its length, so an append copies
+// instead of writing into the version.
+func (v *Version) Payload() []byte { return unsafe.Slice(v.payload, v.plen) }
 
 // Begin loads the Begin word.
 func (v *Version) Begin() uint64 { return v.begin.Load() }
@@ -164,7 +221,7 @@ func (v *Version) Next(ord int) *Version {
 	case 1:
 		return v.next1.Load()
 	default:
-		return v.nextX[ord-2].Load()
+		return v.ext.more[ord-2].next.Load()
 	}
 }
 
@@ -176,7 +233,7 @@ func (v *Version) setNext(ord int, n *Version) {
 	case 1:
 		v.next1.Store(n)
 	default:
-		v.nextX[ord-2].Store(n)
+		v.ext.more[ord-2].next.Store(n)
 	}
 }
 
@@ -188,7 +245,7 @@ func (v *Version) Key(ord int) uint64 {
 	case 1:
 		return v.key1
 	default:
-		return v.keysX[ord-2]
+		return v.ext.more[ord-2].key
 	}
 }
 
@@ -200,7 +257,7 @@ func (v *Version) setKey(ord int, k uint64) {
 	case 1:
 		v.key1 = k
 	default:
-		v.keysX[ord-2] = k
+		v.ext.more[ord-2].key = k
 	}
 }
 
