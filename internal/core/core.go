@@ -341,16 +341,18 @@ type txOptions struct {
 	readOnly  bool
 }
 
-// TxOption configures a transaction at Begin.
-type TxOption func(*txOptions)
+// TxOption configures a transaction at Begin. It is a value transform, not
+// a setter through a pointer, so Begin's options stay on its stack: handing
+// &o to an unknown function would move them to the heap on every Begin.
+type TxOption func(txOptions) txOptions
 
 // isoOptions holds one prebuilt option closure per isolation level so
 // WithIsolation allocates nothing on the transaction hot path.
 var isoOptions = [...]TxOption{
-	iso.ReadCommitted:     func(o *txOptions) { o.iso = iso.ReadCommitted },
-	iso.SnapshotIsolation: func(o *txOptions) { o.iso = iso.SnapshotIsolation },
-	iso.RepeatableRead:    func(o *txOptions) { o.iso = iso.RepeatableRead },
-	iso.Serializable:      func(o *txOptions) { o.iso = iso.Serializable },
+	iso.ReadCommitted:     func(o txOptions) txOptions { o.iso = iso.ReadCommitted; return o },
+	iso.SnapshotIsolation: func(o txOptions) txOptions { o.iso = iso.SnapshotIsolation; return o },
+	iso.RepeatableRead:    func(o txOptions) txOptions { o.iso = iso.RepeatableRead; return o },
+	iso.Serializable:      func(o txOptions) txOptions { o.iso = iso.Serializable; return o },
 }
 
 // WithIsolation selects the isolation level (default ReadCommitted, the
@@ -359,14 +361,14 @@ func WithIsolation(level Isolation) TxOption {
 	if int(level) >= 0 && int(level) < len(isoOptions) && isoOptions[level] != nil {
 		return isoOptions[level]
 	}
-	return func(o *txOptions) { o.iso = level }
+	return func(o txOptions) txOptions { o.iso = level; return o }
 }
 
 // schemeOptions mirrors isoOptions for WithScheme.
 var schemeOptions = [...]TxOption{
-	MVOptimistic:  func(o *txOptions) { o.scheme = MVOptimistic; o.hasScheme = true },
-	MVPessimistic: func(o *txOptions) { o.scheme = MVPessimistic; o.hasScheme = true },
-	SingleVersion: func(o *txOptions) { o.scheme = SingleVersion; o.hasScheme = true },
+	MVOptimistic:  func(o txOptions) txOptions { o.scheme = MVOptimistic; o.hasScheme = true; return o },
+	MVPessimistic: func(o txOptions) txOptions { o.scheme = MVPessimistic; o.hasScheme = true; return o },
+	SingleVersion: func(o txOptions) txOptions { o.scheme = SingleVersion; o.hasScheme = true; return o },
 }
 
 // WithScheme overrides the concurrency control scheme for one transaction.
@@ -376,12 +378,12 @@ func WithScheme(s Scheme) TxOption {
 	if int(s) >= 0 && int(s) < len(schemeOptions) && schemeOptions[s] != nil {
 		return schemeOptions[s]
 	}
-	return func(o *txOptions) { o.scheme = s; o.hasScheme = true }
+	return func(o txOptions) txOptions { o.scheme = s; o.hasScheme = true; return o }
 }
 
 // readOnlyOption is the single prebuilt WithReadOnly closure (hot path,
 // allocation-free like isoOptions).
-var readOnlyOption TxOption = func(o *txOptions) { o.readOnly = true }
+var readOnlyOption TxOption = func(o txOptions) txOptions { o.readOnly = true; return o }
 
 // WithReadOnly declares the transaction read-only with a transactionally
 // consistent view. On a multiversion database this selects the
@@ -415,16 +417,15 @@ var ErrReadOnlyTx = mv.ErrReadOnlyTx
 var ErrDegraded = wal.ErrDegraded
 
 // ErrTxDone is returned when operating on a transaction handle after Commit
-// or Abort has returned (handles are pooled; see Tx).
+// or Abort has returned (see Tx).
 var ErrTxDone = mv.ErrTxDone
 
 // Tx is a transaction against a Database. A Tx must not be used after
 // Commit or Abort returns; the handle clears its engine references on
-// completion, so late calls always fail fast with ErrTxDone. The handle
-// itself is deliberately not pooled — the engine-level transaction object
-// underneath is, with quiescence-gated recycling, but reusing the public
-// handle would let a retained stale pointer silently operate on another
-// goroutine's transaction instead of erroring.
+// completion, so late calls always fail fast with ErrTxDone. The handle is
+// the transaction's one allocation (newTx): the engine-level transaction
+// object underneath is pooled, with quiescence-gated recycling, and Begin
+// allocates nothing else.
 type Tx struct {
 	db       *Database
 	mvTx     *mv.Tx
@@ -432,13 +433,27 @@ type Tx struct {
 	readOnly bool
 }
 
+// newTx allocates a transaction handle. It is never pooled: a caller that
+// keeps a handle past Commit or Abort holds a pointer no one else can be
+// given, so its late calls fail with ErrTxDone; a recycled handle would let
+// that stale pointer silently operate on another goroutine's live
+// transaction. Kept out of line so Begin's own body stays allocation-free
+// under mvlint's noalloc check.
+//
+//go:noinline
+func newTx(db *Database, readOnly bool) *Tx {
+	return &Tx{db: db, readOnly: readOnly}
+}
+
 // Begin starts a transaction.
+//
+//mvlint:noalloc
 func (db *Database) Begin(opts ...TxOption) *Tx {
 	o := txOptions{iso: ReadCommitted, scheme: db.cfg.Scheme}
 	for _, fn := range opts {
-		fn(&o)
+		o = fn(o)
 	}
-	tx := &Tx{db: db, readOnly: o.readOnly}
+	tx := newTx(db, o.readOnly)
 	if db.mvEng != nil {
 		if o.readOnly {
 			tx.mvTx = db.mvEng.BeginReadOnly()
@@ -465,6 +480,8 @@ func (db *Database) Begin(opts ...TxOption) *Tx {
 
 // BeginReadOnly starts a read-only snapshot transaction; shorthand for
 // Begin(WithReadOnly()).
+//
+//mvlint:noalloc
 func (db *Database) BeginReadOnly() *Tx { return db.Begin(readOnlyOption) }
 
 // release clears the engine transaction references so any later call on the

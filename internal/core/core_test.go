@@ -303,9 +303,7 @@ func TestWithIsolationOutOfRange(t *testing.T) {
 	// Prebuilt option lookup must tolerate arbitrary levels (negative or
 	// past the table) without panicking.
 	for _, lvl := range []Isolation{Isolation(-1), Isolation(99)} {
-		o := txOptions{}
-		WithIsolation(lvl)(&o)
-		if o.iso != lvl {
+		if o := WithIsolation(lvl)(txOptions{}); o.iso != lvl {
 			t.Fatalf("WithIsolation(%d) set %d", lvl, o.iso)
 		}
 	}

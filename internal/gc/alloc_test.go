@@ -1,0 +1,48 @@
+package gc
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/field"
+	"repro/internal/storage"
+)
+
+// TestCollectSteadyStateAllocs: once a shard's two queue buffers have grown
+// to the round's size, retiring versions and collecting them allocates
+// nothing — Collect swaps the spare in instead of starting the live queue
+// over from nil.
+func TestCollectSteadyStateAllocs(t *testing.T) {
+	tbl := newTable(t)
+	c := NewCollector(func() uint64 { return 1 << 60 })
+	vs := make([]*storage.Version, 64)
+	payloads := make([][]byte, len(vs))
+	for i := range vs {
+		payloads[i] = pay(uint64(i))
+		vs[i] = storage.NewVersion(payloads[i], 1, field.FromTS(1), field.FromTS(2))
+	}
+	round := func() {
+		for i, v := range vs {
+			v.Reset(payloads[i], 1, field.FromTS(1), field.FromTS(2))
+			tbl.Insert(v)
+			c.Retire(tbl, v)
+		}
+		if n := c.Collect(0); n != len(vs) {
+			t.Fatalf("reclaimed %d, want %d", n, len(vs))
+		}
+	}
+	for range 10 {
+		round()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	const rounds = 1000
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if n := float64(after.Mallocs-before.Mallocs) / rounds; n != 0 {
+		t.Errorf("%.3f allocations per Retire+Collect round of %d versions, want 0", n, len(vs))
+	}
+}

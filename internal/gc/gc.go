@@ -16,6 +16,7 @@
 package gc
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,6 +24,12 @@ import (
 )
 
 const queueShards = 16
+
+// spareMax caps, in entries, the retire-queue array a shard keeps for reuse.
+// A burst (a long reader holding the watermark back) grows a shard's queue
+// far past its steady-state size; once the burst drains, an array above the
+// cap goes back to the runtime instead of staying pinned at its peak.
+const spareMax = 4096
 
 type retired struct {
 	table *storage.Table
@@ -66,9 +73,19 @@ type freeEntry struct {
 	stamp uint64
 }
 
+// queueShard is one retire queue with two buffers. Collect detaches the
+// live one and swaps the spare in, so a Retire landing on the shard
+// meanwhile appends to warm memory instead of regrowing a nil slice.
 type queueShard struct {
 	mu sync.Mutex
-	q  []retired
+	// q is the live queue Retire appends to, oldest first.
+	q []retired
+	// spare is an empty array, the one the last round drained.
+	spare []retired
+	// busy marks a shard whose queue a Collect holds detached. A concurrent
+	// Collect skips the shard, so the survivors of the one round in flight
+	// always requeue ahead of everything retired after them.
+	busy bool
 }
 
 // NewCollector creates a collector. watermark must be safe for concurrent
@@ -117,6 +134,8 @@ func (c *Collector) drainFree(wm uint64) {
 // Retire hands a replaced or aborted version to the collector. The version's
 // End word must already be finalized (a timestamp, or begin = infinity for
 // aborted creations).
+//
+//mvlint:noalloc
 func (c *Collector) Retire(table *storage.Table, v *storage.Version) {
 	i := c.next.Add(1) % queueShards
 	s := &c.shards[i]
@@ -153,13 +172,17 @@ func (c *Collector) Collect(limit int) int {
 		// whose Retire lands on this shard meanwhile would park behind all
 		// of it — a thread sleep and wake-up on the commit path.
 		s.mu.Lock()
+		if s.busy || len(s.q) == 0 {
+			s.mu.Unlock()
+			continue
+		}
 		q := s.q
-		s.q = nil
+		s.q, s.spare, s.busy = s.spare, nil, true
 		s.mu.Unlock()
-		var keep []retired
-		for len(q) > 0 && examined < limit {
-			r := q[0]
-			q = q[1:]
+		// Compact what survives to the front of q, in order.
+		kept, j := 0, 0
+		for ; j < len(q) && examined < limit; j++ {
+			r := q[j]
 			examined++
 			if r.v.IsGarbage(wm) {
 				if r.table.Unlink(r.v) {
@@ -172,21 +195,44 @@ func (c *Collector) Collect(limit int) int {
 				}
 				c.pending.Add(-1)
 			} else {
-				keep = append(keep, r)
+				q[kept] = r
+				kept++
 			}
 		}
-		// Requeue what survived ahead of whatever was retired meanwhile.
-		if keep = append(keep, q...); len(keep) > 0 {
-			s.mu.Lock()
-			s.q = append(keep, s.q...)
-			s.mu.Unlock()
+		if kept < j {
+			kept += copy(q[kept:], q[j:]) // the unexamined tail
+			clear(q[kept:])
+		} else {
+			kept = len(q)
 		}
+		s.requeue(q[:kept])
 		if examined >= limit {
 			break
 		}
 	}
 	c.reclaim.Add(uint64(reclaimed))
 	return reclaimed
+}
+
+// requeue puts a detached queue's survivors back ahead of whatever was
+// retired meanwhile, and keeps the array the arrivals were appended to as
+// the next spare.
+func (s *queueShard) requeue(kept []retired) {
+	s.mu.Lock()
+	arrivals := s.q
+	if cap(kept) > spareMax && len(kept)+len(arrivals) <= spareMax {
+		// kept is what a burst left behind and what it holds now fits the
+		// cap: move the survivors in front of the arrivals and let it go.
+		s.q = slices.Insert(arrivals, 0, kept...)
+	} else {
+		s.q = append(kept, arrivals...)
+		clear(arrivals)
+		if cap(arrivals) <= spareMax {
+			s.spare = arrivals[:0]
+		}
+	}
+	s.busy = false
+	s.mu.Unlock()
 }
 
 // Pending returns the number of versions awaiting collection, not counting

@@ -26,17 +26,6 @@ type pinSlot struct {
 	_ [56]byte
 }
 
-// stripeCache is an immutable (stamp, min) pair: the minimum pinned
-// timestamp of a stripe's slots, valid exactly while the stripe's stamp
-// still equals stamp. Immutability is what makes the cache safe under
-// concurrent Min calls — a torn pair (one call's min with another's stamp)
-// can never be observed, only a whole entry that is either current or
-// provably stale.
-type stripeCache struct {
-	stamp uint64
-	min   uint64 // ^uint64(0) when the stripe held no pins at stamp
-}
-
 // pinStripe is one processor's portion of the pin table. Acquire bumps stamp
 // BEFORE and AFTER publishing a pin into a slot (a seqlock-style double bump;
 // see the ReaderPins comment for why one bump is not enough); Release bumps
@@ -44,12 +33,43 @@ type stripeCache struct {
 // stamp, touched by every local Acquire/Release) off its neighbours' cache
 // lines; the slots themselves are individually padded.
 //
+// cacheStamp and cacheMin are Min's cache: the minimum pinned timestamp of
+// the slots (^uint64(0) when none was pinned), valid exactly while stamp
+// still equals cacheStamp. The pair is guarded by its own seqlock, cacheSeq
+// (odd while a Min call rewrites it), so concurrent Min calls can never use
+// one call's minimum with another's stamp, and a Min that finds the cache
+// valid writes nothing.
+//
 //mvlint:padded
 type pinStripe struct {
-	stamp atomic.Uint64 //mvlint:cacheline
-	cache atomic.Pointer[stripeCache]
-	slots []pinSlot
-	_     [24]byte
+	stamp      atomic.Uint64 //mvlint:cacheline
+	slots      []pinSlot
+	cacheSeq   atomic.Uint64
+	cacheStamp atomic.Uint64
+	cacheMin   atomic.Uint64
+	_          [8]byte
+}
+
+// cached returns the stripe's cached minimum if it was scanned at stamp.
+func (st *pinStripe) cached(stamp uint64) (uint64, bool) {
+	seq := st.cacheSeq.Load()
+	if seq&1 != 0 || st.cacheStamp.Load() != stamp {
+		return 0, false
+	}
+	m := st.cacheMin.Load()
+	return m, st.cacheSeq.Load() == seq
+}
+
+// setCache publishes min as the stripe's minimum at stamp, unless another
+// Min call is rewriting the cache at this moment (the next round rescans).
+func (st *pinStripe) setCache(stamp, min uint64) {
+	seq := st.cacheSeq.Load()
+	if seq&1 != 0 || !st.cacheSeq.CompareAndSwap(seq, seq+1) {
+		return
+	}
+	st.cacheStamp.Store(stamp)
+	st.cacheMin.Store(min)
+	st.cacheSeq.Store(seq + 2)
 }
 
 // pinHint is a preallocated per-slot token circulated through a sync.Pool to
@@ -142,6 +162,7 @@ func (p *ReaderPins) Init(n int) {
 	slots := make([]pinSlot, ns*per)
 	for i := range p.stripes {
 		p.stripes[i].slots = slots[i*per : (i+1)*per : (i+1)*per]
+		p.stripes[i].cacheMin.Store(^uint64(0)) // no pins at stamp 0
 	}
 	p.hintOf = make([]pinHint, ns*per)
 	for i := range p.hintOf {
@@ -223,18 +244,18 @@ func (p *ReaderPins) Release(slot int) {
 // Each stripe's scan result is cached against the stripe's stamp: a stripe
 // untouched since the last scan is folded in O(1) from the cache, so on a
 // many-core box a collection round reads one cache line per idle stripe
-// instead of walking every slot. The cache entry is an immutable pair
-// installed by CompareAndSwap, so racing Min calls can drop each other's
-// entries (the next round rescans) but never mix one call's minimum with
-// another's stamp.
+// instead of walking every slot. The cache is rewritten in place under its
+// seqlock (pinStripe), so a round allocates nothing; racing Min calls can
+// skip each other's rewrites (the next round rescans) but never mix one
+// call's minimum with another's stamp.
 func (p *ReaderPins) Min(bound uint64) uint64 {
 	m := bound
 	for i := range p.stripes {
 		st := &p.stripes[i]
 		s1 := st.stamp.Load() // BEFORE the slot scan
-		c := st.cache.Load()
-		if c == nil || c.stamp != s1 {
-			sm := ^uint64(0)
+		sm, ok := st.cached(s1)
+		if !ok {
+			sm = ^uint64(0)
 			for j := range st.slots {
 				if v := st.slots[j].v.Load(); v != 0 && v < sm {
 					sm = v
@@ -244,12 +265,10 @@ func (p *ReaderPins) Min(bound uint64) uint64 {
 			// rescan. A pin our scan missed finishes its post-publish stamp
 			// bump before the pinning Acquire returns, so the entry stops
 			// validating before that reader can hold any node pointer.
-			nc := &stripeCache{stamp: s1, min: sm}
-			st.cache.CompareAndSwap(c, nc)
-			c = nc
+			st.setCache(s1, sm)
 		}
-		if c.min < m {
-			m = c.min
+		if sm < m {
+			m = sm
 		}
 	}
 	return m
