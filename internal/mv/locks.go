@@ -231,31 +231,23 @@ func (tx *Tx) releaseBucketLocks() {
 	tx.bucketLocks = tx.bucketLocks[:0]
 }
 
-// rangeLockRef records one range lock held by the transaction for release at
-// the end of normal processing.
-type rangeLockRef struct {
-	rl     *storage.RangeLockTable
-	lo, hi uint64
-}
-
-// lockRange takes a range lock on an ordered index for a serializable
-// pessimistic scan — the predicate-shaped analogue of lockBucket. Locks
-// covered by an already-held range are skipped.
+// lockRange takes a shared range lock on an ordered index for a
+// serializable pessimistic scan — the predicate-shaped analogue of
+// lockBucket. Locks covered by an already-held range are skipped. MV/L
+// holds only shared entries, which never conflict, so Acquire never waits.
 func (tx *Tx) lockRange(rl *storage.RangeLockTable, lo, hi uint64) {
-	for _, held := range tx.rangeLocks {
-		if held.rl == rl && held.lo <= lo && hi <= held.hi {
-			return
-		}
+	if storage.RangeCovered(tx.rangeLocks, rl, lo, hi, false) {
+		return
 	}
-	rl.Acquire(lo, hi, tx.T.ID())
-	tx.rangeLocks = append(tx.rangeLocks, rangeLockRef{rl, lo, hi})
+	rl.Acquire(lo, hi, tx.T.ID(), false, 0)
+	tx.rangeLocks = append(tx.rangeLocks, storage.RangeHold{Table: rl, Lo: lo, Hi: hi})
 }
 
 // releaseRangeLocks releases all range locks at the end of normal
 // processing.
 func (tx *Tx) releaseRangeLocks() {
 	for _, h := range tx.rangeLocks {
-		h.rl.Release(h.lo, h.hi, tx.T.ID())
+		h.Table.Release(h.Lo, h.Hi, tx.T.ID(), h.Excl)
 	}
 	clear(tx.rangeLocks)
 	tx.rangeLocks = tx.rangeLocks[:0]

@@ -65,7 +65,7 @@ type Tx struct {
 	scanSet     []scanRecord
 	writeSet    []writeRec
 	bucketLocks []*storage.Bucket
-	rangeLocks  []rangeLockRef
+	rangeLocks  []storage.RangeHold
 
 	// walRec is the reusable redo record; wal.Append encodes it before
 	// returning, so the record and its Ops never escape the commit call.

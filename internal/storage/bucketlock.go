@@ -82,8 +82,3 @@ func (t *BucketLockTable) AppendHolders(dst []uint64, b *Bucket) []uint64 {
 	s.mu.Unlock()
 	return dst
 }
-
-// Holders returns a snapshot of the transaction IDs holding locks on b.
-func (t *BucketLockTable) Holders(b *Bucket) []uint64 {
-	return t.AppendHolders(nil, b)
-}

@@ -220,34 +220,3 @@ func TestOrderedIndexUnlink(t *testing.T) {
 		t.Fatal("double unlink succeeded")
 	}
 }
-
-func TestRangeLockTable(t *testing.T) {
-	var rl RangeLockTable
-	if rl.Active() != 0 {
-		t.Fatal("fresh table has active locks")
-	}
-	rl.Acquire(10, 20, 1)
-	rl.Acquire(15, 30, 2)
-	rl.Acquire(40, 50, 1)
-	if rl.Active() != 3 {
-		t.Fatalf("Active = %d, want 3", rl.Active())
-	}
-	holders := rl.AppendHolders(nil, 18)
-	if len(holders) != 2 {
-		t.Fatalf("holders(18) = %v, want two", holders)
-	}
-	if h := rl.AppendHolders(nil, 35); len(h) != 0 {
-		t.Fatalf("holders(35) = %v, want none", h)
-	}
-	if h := rl.AppendHolders(nil, 40); len(h) != 1 || h[0] != 1 {
-		t.Fatalf("holders(40) = %v, want [1]", h)
-	}
-	rl.Release(15, 30, 2)
-	if h := rl.AppendHolders(nil, 18); len(h) != 1 || h[0] != 1 {
-		t.Fatalf("holders(18) after release = %v, want [1]", h)
-	}
-	rl.Release(99, 99, 7) // not held: no-op
-	if rl.Active() != 2 {
-		t.Fatalf("Active = %d, want 2", rl.Active())
-	}
-}

@@ -219,7 +219,7 @@ func TestBucketLockTable(t *testing.T) {
 	if b.LockCount() != 2 {
 		t.Fatalf("LockCount = %d", b.LockCount())
 	}
-	h := blt.Holders(b)
+	h := blt.AppendHolders(nil, b)
 	if len(h) != 2 {
 		t.Fatalf("Holders = %v", h)
 	}
@@ -227,7 +227,7 @@ func TestBucketLockTable(t *testing.T) {
 	if b.LockCount() != 1 {
 		t.Fatalf("LockCount = %d after release", b.LockCount())
 	}
-	if h := blt.Holders(b); len(h) != 1 || h[0] != 2 {
+	if h := blt.AppendHolders(nil, b); len(h) != 1 || h[0] != 2 {
 		t.Fatalf("Holders = %v", h)
 	}
 	// Releasing a non-held lock is a no-op.
@@ -236,7 +236,7 @@ func TestBucketLockTable(t *testing.T) {
 		t.Fatal("no-op release changed count")
 	}
 	blt.Release(b, 2)
-	if b.LockCount() != 0 || len(blt.Holders(b)) != 0 {
+	if b.LockCount() != 0 || len(blt.AppendHolders(nil, b)) != 0 {
 		t.Fatal("final release incomplete")
 	}
 }

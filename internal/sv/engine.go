@@ -176,7 +176,7 @@ type Table struct {
 // svIndex is the single-version analogue of storage.Index: an access method
 // over in-place-updated records. The hash implementation embeds a
 // reader/writer keyLock per bucket; the ordered implementation locks
-// predicate-shaped key ranges in a per-index range-lock manager instead
+// predicate-shaped key ranges in a per-index storage.RangeLockTable instead
 // (there is no bucket to lock for a key that was never inserted).
 type svIndex interface {
 	ordinal() int
@@ -207,7 +207,7 @@ type bucket struct {
 
 // orderedIndex is a range-scannable access method: a skip list with one
 // record chain per distinct key. Lock coverage is provided by a per-index
-// range-lock manager (S ranges for scans, X points for writes) rather than
+// storage.RangeLockTable (S ranges for scans, X points for writes) rather than
 // per-bucket locks, because phantom protection for ranges must cover keys
 // that do not physically exist yet.
 //
@@ -222,7 +222,7 @@ type orderedIndex struct {
 	ord  int
 	spec storage.IndexSpec
 	list storage.SkipList[recordChain]
-	rl   svRangeLocks
+	rl   storage.RangeLockTable
 	ep   *gc.Epoch
 }
 

@@ -27,7 +27,7 @@ func checkEmptyTx(t *testing.T, tx *Tx) {
 		}
 	}
 	for _, h := range tx.heldRanges[:cap(tx.heldRanges)] {
-		if h != (rangeHold{}) {
+		if h != (storage.RangeHold{}) {
 			t.Fatalf("spare range entry %+v retained", h)
 		}
 	}

@@ -137,6 +137,33 @@ func TestSVRangeLockTimeout(t *testing.T) {
 	t1.Commit()
 }
 
+// TestSVRangeRelockHoldsOneEntry: a serializable transaction that reads the
+// same ordered key again and again holds one range entry for it, not one
+// per read — every extra entry would lengthen other transactions' conflict
+// scans on the index and its release at commit. The one entry still
+// excludes a writer of the key.
+func TestSVRangeRelockHoldsOneEntry(t *testing.T) {
+	e, tbl := newOrderedTestEngine(t, 30*time.Millisecond)
+	e.LoadRow(tbl, testPayload(10, 10))
+	t1 := e.Begin(iso.Serializable)
+	for i := 0; i < 1000; i++ {
+		if _, ok, err := t1.Lookup(tbl, 0, 10, nil); err != nil || !ok {
+			t.Fatalf("Lookup %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if n := len(t1.heldRanges); n != 1 {
+		t.Fatalf("%d range entries held after 1000 reads of one key, want 1", n)
+	}
+	t2 := e.Begin(iso.ReadCommitted)
+	if err := t2.Insert(tbl, testPayload(10, 1)); !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("writer of a read-locked key: err = %v, want ErrLockTimeout", err)
+	}
+	t2.Abort()
+	if err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSVRangeCursorStabilityRC: at read committed the range lock is released
 // when the scan ends, so a subsequent insert does not block.
 func TestSVRangeCursorStabilityRC(t *testing.T) {

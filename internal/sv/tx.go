@@ -34,13 +34,6 @@ type heldLock struct {
 	s, x int
 }
 
-// rangeHold is one range-lock entry held to commit.
-type rangeHold struct {
-	m      *svRangeLocks
-	lo, hi uint64
-	excl   bool
-}
-
 type undoKind uint8
 
 const (
@@ -78,7 +71,7 @@ type Tx struct {
 
 	held       []heldLock
 	heldIdx    map[*keyLock]int // index into held, built once held outgrows heldScanMax
-	heldRanges []rangeHold
+	heldRanges []storage.RangeHold
 	undo       []undoRec
 	writes     []wal.Entry
 	// keyBuf backs every undoRec.oldKeys and Update's new-key scratch.
@@ -227,13 +220,25 @@ func (tx *Tx) lockX(l *keyLock) error {
 	return nil
 }
 
-// lockRange acquires a range lock held to commit on an ordered index.
-func (tx *Tx) lockRange(m *svRangeLocks, lo, hi uint64, excl bool) error {
-	if err := m.acquire(lo, hi, tx.id, excl, tx.e.cfg.LockTimeout); err != nil {
-		tx.e.timeouts.Add(1)
+// lockRange acquires a range lock held to commit on an ordered index. A
+// range already covered by one the transaction holds takes no new entry.
+func (tx *Tx) lockRange(rl *storage.RangeLockTable, lo, hi uint64, excl bool) error {
+	if storage.RangeCovered(tx.heldRanges, rl, lo, hi, excl) {
+		return nil
+	}
+	if err := tx.acquireRange(rl, lo, hi, excl); err != nil {
 		return err
 	}
-	tx.heldRanges = append(tx.heldRanges, rangeHold{m, lo, hi, excl})
+	tx.heldRanges = append(tx.heldRanges, storage.RangeHold{Table: rl, Lo: lo, Hi: hi, Excl: excl})
+	return nil
+}
+
+// acquireRange takes one entry on [lo, hi], counting a timeout.
+func (tx *Tx) acquireRange(rl *storage.RangeLockTable, lo, hi uint64, excl bool) error {
+	if !rl.Acquire(lo, hi, tx.id, excl, tx.e.cfg.LockTimeout) {
+		tx.e.timeouts.Add(1)
+		return ErrLockTimeout
+	}
 	return nil
 }
 
@@ -246,7 +251,7 @@ func (tx *Tx) finish(outcome *atomic.Uint64) {
 	}
 	for i := range tx.heldRanges {
 		h := &tx.heldRanges[i]
-		h.m.release(h.lo, h.hi, tx.id, h.excl)
+		h.Table.Release(h.Lo, h.Hi, tx.id, h.Excl)
 	}
 	tx.done = true
 	e := tx.e
@@ -287,11 +292,10 @@ func (tx *Tx) Scan(t *Table, indexOrd int, key uint64, pred Pred, fn func(*Recor
 	}
 	ix := t.indexes[indexOrd].(*orderedIndex)
 	if short {
-		if err := ix.rl.acquire(key, key, tx.id, false, tx.e.cfg.LockTimeout); err != nil {
-			tx.e.timeouts.Add(1)
+		if err := tx.acquireRange(&ix.rl, key, key, false); err != nil {
 			return err
 		}
-		defer ix.rl.release(key, key, tx.id, false)
+		defer ix.rl.Release(key, key, tx.id, false)
 	} else {
 		if err := tx.lockRange(&ix.rl, key, key, false); err != nil {
 			return err
@@ -346,11 +350,10 @@ func (tx *Tx) ScanRange(t *Table, indexOrd int, lo, hi uint64, pred Pred, fn fun
 	}
 	short := tx.short
 	if short {
-		if err := ix.rl.acquire(lo, hi, tx.id, false, tx.e.cfg.LockTimeout); err != nil {
-			tx.e.timeouts.Add(1)
+		if err := tx.acquireRange(&ix.rl, lo, hi, false); err != nil {
 			return err
 		}
-		defer ix.rl.release(lo, hi, tx.id, false)
+		defer ix.rl.Release(lo, hi, tx.id, false)
 	} else {
 		if err := tx.lockRange(&ix.rl, lo, hi, false); err != nil {
 			return err
