@@ -25,11 +25,12 @@ type TableSpec struct {
 	Lo, Hi uint64
 }
 
+// captureAttempts bounds capture retries: the single-version engine's
+// capture acquires locks and can time out against concurrent writers.
+const captureAttempts = 8
+
 // Options tunes Checkpointer.Run.
 type Options struct {
-	// Retries bounds capture retries; the single-version engine's capture
-	// acquires locks and can time out against concurrent writers (default 8).
-	Retries int
 	// KeepLog disables log truncation after the checkpoint publishes. Tests
 	// use it to compare checkpoint+tail recovery against full-log replay.
 	KeepLog bool
@@ -131,9 +132,6 @@ func (c *Checkpointer) record(stats Stats, err error) {
 
 // New returns a Checkpointer over the given tables.
 func New(db *core.Database, store *Store, specs []TableSpec, opts Options) *Checkpointer {
-	if opts.Retries <= 0 {
-		opts.Retries = 8
-	}
 	return &Checkpointer{db: db, store: store, specs: specs, opts: opts}
 }
 
@@ -215,7 +213,7 @@ func (c *Checkpointer) Run() (Stats, error) {
 				w.abandon()
 			}
 		}
-		if attempt+1 >= c.opts.Retries || c.store.Frozen() {
+		if attempt+1 >= captureAttempts || c.store.Frozen() {
 			return stats, fmt.Errorf("ckpt: capture failed after %d attempts: %w", attempt+1, err)
 		}
 		time.Sleep(time.Duration(attempt+1) * time.Millisecond)

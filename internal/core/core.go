@@ -218,7 +218,8 @@ func (db *Database) FunnelStats() ts.FunnelStats {
 
 // PinOverflows reports how many reader-pin acquisitions found every slot of
 // the striped pin table occupied and fell back to a slower registered path
-// (MV: read-only fast-lane registration; 1V: node-epoch entry). Persistent
+// (MV: a registered transaction covering a read-only begin, a capture or a
+// GC round; 1V: node-epoch entry). Persistent
 // overflow on a healthy workload means the pin table is undersized for the
 // machine's concurrency.
 func (db *Database) PinOverflows() uint64 {
@@ -229,17 +230,20 @@ func (db *Database) PinOverflows() uint64 {
 }
 
 // Degraded returns the latched log failure that flipped the database into
-// degraded read-only mode, or nil while healthy. A degraded database keeps
-// serving reads and read-only snapshots; new writes fail fast with
-// ErrDegraded, and the in-flight commit that hit the failure was aborted.
+// degraded read-only mode, or nil while healthy (always nil without a log).
+// The latch is the log's own: the database degrades as soon as the flusher
+// latches a write or fsync failure, at every durability level. A degraded
+// database keeps serving reads and read-only snapshots; new writes fail
+// fast with ErrDegraded, and an in-flight commit that hit the failure was
+// aborted.
 // Degradation is permanent for the database's lifetime — recovery from a
 // disk fault means restarting from the log and checkpoints, not ignoring
 // the hole a failed fsync left.
 func (db *Database) Degraded() error {
-	if db.mvEng != nil {
-		return db.mvEng.Degraded()
+	if !db.log.Failed() {
+		return nil
 	}
-	return db.svEng.Degraded()
+	return db.log.Err()
 }
 
 // Capture streams a transactionally consistent snapshot of the given tables

@@ -150,3 +150,45 @@ func TestDegradedOnFsyncError(t *testing.T) {
 		})
 	}
 }
+
+// TestDegradedAsyncFlusherFailure: at Async durability no commit waits for
+// the sink, so the failure surfaces in the flusher. The database reports it
+// as soon as the log latches it, and the next write fails fast.
+func TestDegradedAsyncFlusherFailure(t *testing.T) {
+	for _, scheme := range allSchemes {
+		t.Run(scheme.String(), func(t *testing.T) {
+			sink := &brokenSink{}
+			db, err := Open(Config{Scheme: scheme, LogSink: sink, Durability: DurabilityAsync})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			tbl, err := db.CreateTable(TableSpec{
+				Name:    "t",
+				Indexes: []IndexSpec{{Name: "pk", Key: keyOf, Buckets: 1 << 10}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink.trip(errors.New("EIO: write failed"), nil)
+			tx := db.Begin()
+			if err := tx.Insert(tbl, pay(1, 10)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("async commit waited for the sink: %v", err)
+			}
+			if err := db.WAL().Flush(); err == nil {
+				t.Fatal("flush of a failed batch succeeded")
+			}
+			if err := db.Degraded(); err == nil {
+				t.Fatal("flusher latched a failure, database not degraded")
+			}
+			tx = db.Begin()
+			if err := tx.Insert(tbl, pay(2, 20)); !errors.Is(err, ErrDegraded) {
+				t.Fatalf("Insert after the flusher failed = %v, want ErrDegraded", err)
+			}
+			tx.Abort()
+		})
+	}
+}

@@ -11,10 +11,13 @@ import (
 // TestCollectSteadyStateAllocs: once a shard's two queue buffers have grown
 // to the round's size, retiring versions and collecting them allocates
 // nothing — Collect swaps the spare in instead of starting the live queue
-// over from nil.
+// over from nil, and the unlinked versions pass through the recycler's
+// Limbo without copying.
 func TestCollectSteadyStateAllocs(t *testing.T) {
 	tbl := newTable(t)
 	c := NewCollector(func() uint64 { return 1 << 60 })
+	recycled := 0
+	c.SetRecycler(func() uint64 { return 1 }, func(*storage.Version) { recycled++ })
 	vs := make([]*storage.Version, 64)
 	payloads := make([][]byte, len(vs))
 	for i := range vs {
@@ -42,6 +45,9 @@ func TestCollectSteadyStateAllocs(t *testing.T) {
 		round()
 	}
 	runtime.ReadMemStats(&after)
+	if recycled < rounds*len(vs) {
+		t.Errorf("recycled %d versions, want at least %d", recycled, rounds*len(vs))
+	}
 	if n := float64(after.Mallocs-before.Mallocs) / rounds; n != 0 {
 		t.Errorf("%.3f allocations per Retire+Collect round of %d versions, want 0", n, len(vs))
 	}

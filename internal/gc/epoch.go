@@ -3,13 +3,13 @@ package gc
 import "sync/atomic"
 
 // Epoch is a lightweight epoch-based reclamation guard for lock-free readers
-// that are invisible to the transaction-table watermark — the single-version
-// engine's skip-list cursors (1V has no timestamps at all) and the
-// multiversion collector's own index traversals (which run outside any
-// transaction). It reuses the ReaderPins slot table: readers publish the
-// epoch they entered under, reclaimers stamp unlinked nodes with an advanced
-// epoch, and a stamped node may be freed only once every published pin
-// exceeds its stamp.
+// that no watermark can see: the single-version engine's skip-list
+// traversals (1V has no timestamps at all). The multiversion engine needs
+// none — its collector pins its rounds in the reader-pin table the GC
+// watermark already reads. Epoch reuses the ReaderPins slot table: readers
+// publish the epoch they entered under, reclaimers stamp unlinked nodes with
+// an advanced epoch, and a stamped node may be freed only once every
+// published pin exceeds its stamp.
 //
 // Protocol (all operations are Go atomics, hence sequentially consistent):
 //
@@ -78,18 +78,6 @@ func (e *Epoch) Quiesced(stamp uint64) bool {
 		return false
 	}
 	return e.pins.Min(e.clock.Load()) > stamp
-}
-
-// Clear reports whether no reader at all is currently pinned (and no
-// unpinned-fallback reader is active). Owners whose primary quiescence proof
-// lives elsewhere (the MV watermark) use this as the auxiliary gate for
-// readers that proof cannot see.
-func (e *Epoch) Clear() bool {
-	if e.unpinned.Load() != 0 {
-		return false
-	}
-	const maxU64 = ^uint64(0)
-	return e.pins.Min(maxU64) == maxU64
 }
 
 // Overflows reports how many Enter calls fell back to the unpinned counter.

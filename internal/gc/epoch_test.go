@@ -5,9 +5,6 @@ import "testing"
 func TestEpochQuiesce(t *testing.T) {
 	var e Epoch
 	e.Init(4)
-	if !e.Clear() {
-		t.Fatal("fresh epoch not clear")
-	}
 
 	// A stamp never quiesces in its own epoch (the bound is the clock).
 	s1 := e.Stamp()
@@ -24,9 +21,6 @@ func TestEpochQuiesce(t *testing.T) {
 	if slot < 0 {
 		t.Fatal("Enter overflowed a 4-slot table")
 	}
-	if e.Clear() {
-		t.Fatal("Clear with an active pin")
-	}
 	s3 := e.Stamp()
 	if e.Quiesced(s3) {
 		t.Fatal("s3 quiesced under a pin published before it")
@@ -38,9 +32,6 @@ func TestEpochQuiesce(t *testing.T) {
 		t.Fatal("s2 blocked by a reader that entered after it")
 	}
 	e.Exit(slot)
-	if !e.Clear() {
-		t.Fatal("exit did not release the pin")
-	}
 	e.Stamp() // s3 needs a later epoch before it can quiesce
 	if !e.Quiesced(s3) {
 		t.Fatal("s3 not quiesced after exit and a later epoch")
@@ -73,11 +64,11 @@ func TestEpochOverflowFallback(t *testing.T) {
 	}
 	s := e.Stamp()
 	e.Stamp()
-	if e.Quiesced(s) || e.Clear() {
+	if e.Quiesced(s) {
 		t.Fatal("unpinned reader did not block quiescence")
 	}
 	e.Exit(b)
-	if !e.Quiesced(s) || !e.Clear() {
+	if !e.Quiesced(s) {
 		t.Fatal("quiescence blocked after all readers exited")
 	}
 }

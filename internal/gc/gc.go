@@ -51,8 +51,8 @@ type Collector struct {
 	free func(*storage.Version)
 
 	// lastWM caches the watermark computed by the most recent Collect round,
-	// so per-transaction bookkeeping (e.g. the engine's transaction-object
-	// graveyard) reads one atomic instead of recomputing the minimum.
+	// so the engine's other quiescence queues (transaction objects, index
+	// nodes) read one atomic instead of recomputing the minimum.
 	lastWM atomic.Uint64
 
 	shards   [queueShards]queueShard
@@ -61,16 +61,10 @@ type Collector struct {
 	retireCt atomic.Uint64
 	reclaim  atomic.Uint64
 
-	// freeMu guards freeq: versions unlinked from the indexes, stamped with
-	// the clock value at unlink, waiting for the watermark to pass so no
+	// limbo holds versions unlinked from the indexes, stamped with the clock
+	// value after the unlink, until the watermark passes the stamp and no
 	// in-flight reader can still hold them.
-	freeMu sync.Mutex
-	freeq  []freeEntry
-}
-
-type freeEntry struct {
-	v     *storage.Version
-	stamp uint64
+	limbo storage.Limbo[*storage.Version]
 }
 
 // queueShard is one retire queue with two buffers. Collect detaches the
@@ -112,25 +106,6 @@ func (c *Collector) SetRecycler(clock func() uint64, free func(*storage.Version)
 // recomputing the minimum.
 func (c *Collector) Watermark() uint64 { return c.lastWM.Load() }
 
-// drainFree hands every quiesced free-list version to the recycler.
-func (c *Collector) drainFree(wm uint64) {
-	if c.free == nil {
-		return
-	}
-	c.freeMu.Lock()
-	n := 0
-	for n < len(c.freeq) && c.freeq[n].stamp < wm {
-		c.free(c.freeq[n].v)
-		n++
-	}
-	if n > 0 {
-		m := copy(c.freeq, c.freeq[n:])
-		clear(c.freeq[m:])
-		c.freeq = c.freeq[:m]
-	}
-	c.freeMu.Unlock()
-}
-
 // Retire hands a replaced or aborted version to the collector. The version's
 // End word must already be finalized (a timestamp, or begin = infinity for
 // aborted creations).
@@ -156,7 +131,9 @@ func (c *Collector) Collect(limit int) int {
 	// advance recycling.
 	wm := c.watermark()
 	c.lastWM.Store(wm)
-	c.drainFree(wm)
+	if c.free != nil {
+		c.limbo.Drain(func(stamp uint64) bool { return stamp < wm }, 0, c.free)
+	}
 	if c.pending.Load() == 0 {
 		return 0 // fast path for read-mostly workloads
 	}
@@ -188,9 +165,7 @@ func (c *Collector) Collect(limit int) int {
 				if r.table.Unlink(r.v) {
 					reclaimed++
 					if c.free != nil {
-						c.freeMu.Lock()
-						c.freeq = append(c.freeq, freeEntry{r.v, c.clock()})
-						c.freeMu.Unlock()
+						c.limbo.Defer(r.v, c.clock())
 					}
 				}
 				c.pending.Add(-1)

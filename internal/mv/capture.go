@@ -32,21 +32,10 @@ import (
 // The payload passed to fn is valid only during the callback. An error from
 // fn aborts the capture and is returned.
 func (e *Engine) Capture(tables []*storage.Table, fn func(t *storage.Table, key uint64, payload []byte) error) (uint64, error) {
-	// Publish a provisional pin BEFORE drawing the stable timestamp, mirroring
-	// BeginReadOnly: the pin bounds every future watermark computation.
-	pin := e.oracle.Current()
-	slot := e.pins.Acquire(pin)
-	var release func()
-	if slot >= 0 {
-		release = func() { e.pins.Release(slot) }
-	} else {
-		// Pin table full: a registered snapshot transaction bounds the
-		// watermark the same way through its begin timestamp.
-		tx := e.Begin(Optimistic, SnapshotIsolation)
-		tx.readOnly = true
-		release = func() { _ = tx.Abort() }
-	}
-	defer release()
+	// Publish the pin BEFORE drawing the stable timestamp, as BeginReadOnly
+	// does: the pin bounds every future watermark computation.
+	slot, cover := e.pin()
+	defer e.unpin(slot, cover)
 
 	s := e.pins.Min(e.txns.OldestBegin(e.oracle.Current()))
 	for _, t := range tables {

@@ -149,14 +149,13 @@ func (tx *Tx) CommitTS() (uint64, error) {
 			rec.Ops = append(rec.Ops, e)
 		}
 		if err := tx.e.cfg.Log.Append(rec); err != nil {
-			// The in-flight commit fails, and the engine flips read-only: a
-			// log that cannot accept records cannot back any future
-			// acknowledgement either. The end timestamp travels with the
-			// error: after a power loss the record may still sit below the
-			// surviving torn tail, and crash harnesses need the timestamp to
-			// place such an unknown-outcome transaction when recovery proves
-			// it durable.
-			tx.e.degrade(err)
+			// The in-flight commit fails, and the log's latched failure
+			// flips the engine read-only: a log that cannot accept records
+			// cannot back any future acknowledgement either. The end
+			// timestamp travels with the error: after a power loss the
+			// record may still sit below the surviving torn tail, and crash
+			// harnesses need the timestamp to place such an unknown-outcome
+			// transaction when recovery proves it durable.
 			tx.abortInternal()
 			return end, err
 		}

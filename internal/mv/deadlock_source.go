@@ -23,8 +23,8 @@ type detectorSource struct {
 //
 // The walk is epoch-pinned: a reader pin taken before the table iteration
 // keeps the GC watermark below every transaction observed during the walk
-// (removal stamps are drawn after the pin, so the graveyard cannot drain
-// them), which means no collected pointer can be recycled mid-iteration.
+// (removal stamps are drawn after the pin, so txLimbo cannot drain them),
+// which means no collected pointer can be recycled mid-iteration.
 // Without the pin a Txn could be Reset to a new identity between collection
 // and the Blocked/Waiters reads; identity revalidation downstream kept that
 // benign (worst case a spurious abort of the wrong incarnation was

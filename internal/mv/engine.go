@@ -6,7 +6,6 @@
 package mv
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,8 +92,9 @@ type Stats struct {
 	// ReadOnlyBegins counts transactions started on the registration-free
 	// read-only fast lane (BeginReadOnly with a pin slot available).
 	ReadOnlyBegins uint64
-	// PinOverflows counts fast-lane attempts that found every reader-pin
-	// slot occupied and fell back to a registered transaction.
+	// PinOverflows counts read-only begins, checkpoint captures and GC
+	// rounds that found every reader-pin slot occupied and were covered by a
+	// registered transaction instead.
 	PinOverflows uint64
 	// FastCommits counts commits that skipped the end-timestamp draw: the
 	// transaction wrote nothing, held no locks, and needed no validation.
@@ -117,20 +117,11 @@ type Engine struct {
 	det    *deadlock.Detector
 
 	// pins publishes the read times of readers the transaction table cannot
-	// see — read-only fast-lane transactions, checkpoint captures and the
-	// deadlock detector's iteration epoch — so the GC watermark never passes
-	// them. See gc.ReaderPins for the protocol.
+	// see — read-only fast-lane transactions, checkpoint captures, the
+	// deadlock detector's iteration epoch and the garbage collector's own
+	// rounds — so the GC watermark never passes them. See gc.ReaderPins for
+	// the protocol.
 	pins gc.ReaderPins
-
-	// nodeEpoch guards skip-list node reuse against the one class of readers
-	// the watermark cannot see: the garbage collector's own index traversals
-	// (Collect's unlinks run outside any transaction). Collectors pin it for
-	// the duration of a round; node freeing requires the watermark to pass
-	// the unlink stamp AND the epoch to be clear. Transactions need no pin —
-	// every cursor or bucket pointer they hold is covered by their begin
-	// timestamp (registered) or reader pin (fast lane), which bounds the
-	// watermark. See docs/indexes.md, "Node reclamation".
-	nodeEpoch gc.Epoch
 
 	tablesMu sync.RWMutex
 	tables   map[string]*storage.Table
@@ -141,16 +132,13 @@ type Engine struct {
 	// garbage collector's quiescence-gated free list (see gc.SetRecycler).
 	vpool storage.VersionPool
 
-	// txPool recycles Tx (and embedded txn.Txn) objects. Finished
-	// transactions park in the graveyard first and move to the pool only
-	// once the GC watermark passes their removal timestamp, so no concurrent
-	// visibility check can still hold the txn.Txn pointer when it is Reset.
-	txPool sync.Pool
-	gravMu sync.Mutex
-	// graveyard is a FIFO of parked transactions: entries [gravHead:] are
-	// live, drained in stamp order as the watermark advances.
-	graveyard  []deadTx
-	gravHead   int
+	// txPool recycles Tx (and embedded txn.Txn) objects. A finished
+	// registered transaction waits in txLimbo, stamped with the clock after
+	// it left the transaction table, and moves to the pool only once the GC
+	// watermark passes the stamp, so no concurrent visibility check can
+	// still hold the txn.Txn pointer when it is Reset.
+	txPool     sync.Pool
+	txLimbo    storage.Limbo[*Tx]
 	txRecycled atomic.Uint64
 
 	roBegins     atomic.Uint64
@@ -166,30 +154,15 @@ type Engine struct {
 	lockFailures     atomic.Uint64
 	cascadingAborts  atomic.Uint64
 	speculativeReads atomic.Uint64
-
-	// degraded latches after a log append fails for any reason other than a
-	// clean shutdown: the engine can no longer promise durability, so new
-	// writes fail fast with ErrDegraded while reads keep serving.
-	degraded     atomic.Bool
-	degradeMu    sync.Mutex
-	degradeCause error
 }
 
-// deadTx is a finished transaction awaiting quiescence before reuse.
-type deadTx struct {
-	tx *Tx
-	// stamp is the timestamp counter at the moment the transaction left the
-	// transaction table; once the watermark (oldest active begin) exceeds
-	// it, no transaction that could have looked the object up remains.
-	stamp uint64
-}
-
-// graveyardCap bounds the parked-transaction list. On overflow (cooperative
-// GC disabled, or the watermark lagging far behind under heavy
-// oversubscription) the incoming object is simply not parked — the runtime
-// garbage collector frees it instead. Dropping is O(1) and always safe; it
-// only costs pool efficiency. The cap is sized for throughput × worst-case
-// watermark lag (a scheduling quantum on an oversubscribed box).
+// graveyardCap bounds txLimbo, the finished transactions waiting for reuse.
+// On overflow (cooperative GC disabled, or the watermark lagging far behind
+// under heavy oversubscription) the incoming object is simply not parked —
+// the runtime garbage collector frees it instead. Dropping is O(1) and
+// always safe; it only costs pool efficiency. The cap is sized for
+// throughput × worst-case watermark lag (a scheduling quantum on an
+// oversubscribed box).
 const graveyardCap = 32768
 
 // NewEngine constructs an engine. Call Close when done to stop background
@@ -208,7 +181,7 @@ func NewEngine(cfg Config) *Engine {
 		tables: make(map[string]*storage.Table),
 	}
 	e.pins.Init(0) // the pin table self-sizes from runtime.NumCPU
-	e.nodeEpoch.Init(0)
+	e.txLimbo.Cap = graveyardCap
 	e.gc = gc.NewCollector(func() uint64 {
 		// Load the clock FIRST, then sweep the table minima and the reader
 		// pins: gc.ReaderPins relies on this order to guarantee the
@@ -226,33 +199,6 @@ func NewEngine(cfg Config) *Engine {
 		e.det.Start()
 	}
 	return e
-}
-
-// degrade latches the engine into read-only mode after a log failure. A
-// clean log shutdown (wal.ErrClosed) is not a disk fault and does not
-// degrade: Close-then-write is a caller bug, not a durability event.
-func (e *Engine) degrade(err error) {
-	if err == nil || errors.Is(err, wal.ErrClosed) {
-		return
-	}
-	e.degradeMu.Lock()
-	if e.degradeCause == nil {
-		e.degradeCause = err
-	}
-	e.degradeMu.Unlock()
-	e.degraded.Store(true)
-}
-
-// Degraded returns the latched log failure that flipped the engine
-// read-only, or nil while the engine is healthy. While degraded, mutations
-// fail fast with ErrDegraded; reads and read-only snapshots keep serving.
-func (e *Engine) Degraded() error {
-	if !e.degraded.Load() {
-		return nil
-	}
-	e.degradeMu.Lock()
-	defer e.degradeMu.Unlock()
-	return e.degradeCause
 }
 
 // Close stops background workers and closes the log if one was attached.
@@ -380,17 +326,12 @@ func (e *Engine) getTx(id, begin uint64, scheme Scheme, iso Isolation) *Tx {
 //
 //mvlint:noalloc
 func (e *Engine) BeginReadOnly() *Tx {
-	// Publish a provisional pin BEFORE choosing the snapshot time; see
-	// gc.ReaderPins for why this ordering makes the watermark safe.
-	pin := e.oracle.Current()
-	slot := e.pins.Acquire(pin)
-	if slot < 0 {
-		e.pinOverflows.Add(1)
-		tx := e.Begin(Optimistic, SnapshotIsolation)
-		tx.readOnly = true
-		return tx
+	slot, cover := e.pin()
+	if cover != nil {
+		cover.readOnly = true
+		return cover
 	}
-	rt := e.oracle.Current() // >= pin; the pin covers everything we can read
+	rt := e.oracle.Current() // >= the pin; the pin covers everything we can read
 	tx := e.getTx(txn.Anonymous, rt, Optimistic, SnapshotIsolation)
 	tx.readOnly = true
 	tx.pin = slot
@@ -398,10 +339,47 @@ func (e *Engine) BeginReadOnly() *Tx {
 	return tx
 }
 
+// pin publishes a provisional reader pin at the current clock, BEFORE the
+// caller chooses a read time or loads any index pointer (see gc.ReaderPins
+// for why this ordering makes the watermark safe), and returns its slot.
+// When every slot is taken it counts the overflow and returns instead a
+// registered snapshot transaction, cover, whose begin timestamp bounds the
+// watermark the same way.
+//
+//mvlint:noalloc
+func (e *Engine) pin() (slot int, cover *Tx) {
+	if slot = e.pins.Acquire(e.oracle.Current()); slot >= 0 {
+		return slot, nil
+	}
+	e.pinOverflows.Add(1)
+	return -1, e.Begin(Optimistic, SnapshotIsolation)
+}
+
+// unpin releases what pin returned. A cover leaves the transaction table
+// and is recycled without counting as a commit or running a GC round, so a
+// round that pinned itself never re-enters collect.
+func (e *Engine) unpin(slot int, cover *Tx) {
+	if cover == nil {
+		e.pins.Release(slot)
+		return
+	}
+	e.txns.Remove(cover.T.ID())
+	e.recycleTx(cover)
+}
+
 // finishTx runs after a transaction has fully committed or aborted and left
-// the transaction table: it drops the transaction's references, parks the
-// object for recycling, and triggers cooperative garbage collection.
+// the transaction table: it recycles the object and triggers cooperative
+// garbage collection.
 func (e *Engine) finishTx(tx *Tx) {
+	e.recycleTx(tx)
+	if e.cfg.GCEvery > 0 && e.sinceGC.Add(1)%int64(e.cfg.GCEvery) == 0 {
+		e.collect(e.cfg.GCQuota)
+	}
+}
+
+// recycleTx drops a finished transaction's references and parks the object
+// for reuse.
+func (e *Engine) recycleTx(tx *Tx) {
 	clear(tx.readSet)
 	tx.readSet = tx.readSet[:0]
 	clear(tx.scanSet)
@@ -427,35 +405,31 @@ func (e *Engine) finishTx(tx *Tx) {
 		// wait needed.
 		e.txPool.Put(tx)
 	} else {
-		stamp := e.oracle.Current()
-		e.gravMu.Lock()
-		if len(e.graveyard)-e.gravHead < graveyardCap {
-			e.graveyard = append(e.graveyard, deadTx{tx, stamp})
-		}
-		e.gravMu.Unlock()
-	}
-
-	if e.cfg.GCEvery > 0 && e.sinceGC.Add(1)%int64(e.cfg.GCEvery) == 0 {
-		e.collect(e.cfg.GCQuota)
+		e.txLimbo.Defer(tx, e.oracle.Current())
 	}
 }
 
 // collect runs one garbage collection round, sweeps dead ordered-index
-// nodes, and then recycles parked transaction objects and quiesced nodes.
-// The round is epoch-pinned: Collect's index unlinks (and the sweep's
-// predecessor searches) traverse skip lists outside any transaction, so the
-// watermark cannot vouch for them — the pin keeps concurrent rounds from
-// resetting a node this round can still reach.
+// nodes, and then recycles the transaction objects and index nodes the
+// watermark has quiesced. The round is pinned like a fast-lane reader:
+// Collect's index unlinks and the sweep's predecessor searches traverse
+// skip lists outside any transaction, and the pin, published before the
+// first index load, keeps the watermark — hence every other round's frees —
+// at or below this round's start until it has dropped its node pointers.
 func (e *Engine) collect(limit int) int {
-	slot := e.nodeEpoch.Enter()
+	slot, cover := e.pin()
 	n := e.gc.Collect(limit)
 	e.sweepIndexNodes(limit)
-	e.nodeEpoch.Exit(slot)
+	e.unpin(slot, cover)
 	wm := e.gc.Watermark()
-	e.drainGraveyard(wm)
-	e.freeIndexNodes(wm, limit)
+	quiesced := func(stamp uint64) bool { return stamp < wm }
+	e.txLimbo.Drain(quiesced, 0, e.putTx)
+	e.freeIndexNodes(quiesced, limit)
 	return n
 }
+
+// putTx returns a quiesced transaction object to the pool.
+func (e *Engine) putTx(tx *Tx) { e.txPool.Put(tx) }
 
 // forEachOrderedIndex invokes fn on every ordered index of every table.
 func (e *Engine) forEachOrderedIndex(fn func(ix *storage.OrderedIndex)) {
@@ -483,68 +457,15 @@ func (e *Engine) sweepIndexNodes(limit int) {
 	})
 }
 
-// freeIndexNodes resets swept nodes into the reuse pool once (a) the
-// watermark passed their unlink stamp — no transaction that could hold the
-// node remains — and (b) the collector epoch is clear — no concurrent GC
-// round is mid-traversal. The epoch check runs per entry inside the
-// reclamation lock, ordering it after the unlink stores (see gc.Epoch).
-func (e *Engine) freeIndexNodes(wm uint64, limit int) {
-	if wm == 0 {
-		return // no GC round has published a watermark yet
-	}
+// freeIndexNodes resets swept nodes into the reuse pool once the watermark
+// passed their unlink stamp: no transaction, fast-lane reader or GC round
+// that could hold the node remains.
+func (e *Engine) freeIndexNodes(quiesced func(stamp uint64) bool, limit int) {
 	e.forEachOrderedIndex(func(ix *storage.OrderedIndex) {
-		// The epoch check is evaluated lazily once per drain (Clear scans
-		// the whole pin table): the first call runs inside FreeDead under
-		// the reclamation lock, after the drain observed its entries, which
-		// is the ordering the safety argument needs — and it covers every
-		// entry of the same drain, since all their unlinks happen-before
-		// the queue read.
-		clear := -1
-		quiesced := func(stamp uint64) bool {
-			if stamp >= wm {
-				return false
-			}
-			if clear < 0 {
-				if e.nodeEpoch.Clear() {
-					clear = 1
-				} else {
-					clear = 0
-				}
-			}
-			return clear == 1
-		}
 		if n := ix.FreeNodes(quiesced, limit); n > 0 {
 			e.nodesFreed.Add(uint64(n))
 		}
 	})
-}
-
-// drainGraveyard moves parked transactions whose removal stamp is below the
-// watermark into the reuse pool: every transaction that could have looked
-// them up in the transaction table has itself terminated.
-func (e *Engine) drainGraveyard(wm uint64) {
-	if wm == 0 {
-		return // no GC round has published a watermark yet
-	}
-	e.gravMu.Lock()
-	h := e.gravHead
-	for h < len(e.graveyard) && e.graveyard[h].stamp < wm {
-		e.txPool.Put(e.graveyard[h].tx)
-		e.graveyard[h] = deadTx{}
-		h++
-	}
-	e.gravHead = h
-	if h == len(e.graveyard) {
-		e.graveyard = e.graveyard[:0]
-		e.gravHead = 0
-	} else if h > 1024 && h > len(e.graveyard)/2 {
-		// Compact occasionally so the backing array doesn't creep.
-		n := copy(e.graveyard, e.graveyard[h:])
-		clear(e.graveyard[n:])
-		e.graveyard = e.graveyard[:n]
-		e.gravHead = 0
-	}
-	e.gravMu.Unlock()
 }
 
 // CollectGarbage runs a bounded garbage collection round and returns the

@@ -378,7 +378,7 @@ func (tx *Tx) Insert(t *storage.Table, payload []byte) error {
 	if tx.readOnly {
 		return ErrReadOnlyTx
 	}
-	if tx.e.degraded.Load() {
+	if tx.e.cfg.Log.Failed() {
 		return ErrDegraded
 	}
 	v := tx.e.vpool.GetIn(t.Arena(), payload, t.NumIndexes(), field.FromTxID(tx.T.ID()), infinityWord)
@@ -544,7 +544,7 @@ func (tx *Tx) Update(t *storage.Table, old *storage.Version, newPayload []byte) 
 	if tx.readOnly {
 		return ErrReadOnlyTx
 	}
-	if tx.e.degraded.Load() {
+	if tx.e.cfg.Log.Failed() {
 		return ErrDegraded
 	}
 	wasReadLocked, err := tx.installWriteLock(old)
@@ -592,7 +592,7 @@ func (tx *Tx) Delete(t *storage.Table, old *storage.Version) error {
 	if tx.readOnly {
 		return ErrReadOnlyTx
 	}
-	if tx.e.degraded.Load() {
+	if tx.e.cfg.Log.Failed() {
 		return ErrDegraded
 	}
 	wasReadLocked, err := tx.installWriteLock(old)

@@ -68,10 +68,11 @@ type Stats struct {
 type Options struct {
 	// Workers bounds the partition-restore pool (default 4).
 	Workers int
-	// BatchRows is the number of checkpoint rows inserted per transaction
-	// during restore (default 256).
-	BatchRows int
 }
+
+// restoreBatchRows is the number of checkpoint rows inserted per
+// transaction during restore.
+const restoreBatchRows = 256
 
 // Replay reads the encoded log from r and applies it to db. Tables must
 // already have been created (schema is not logged, as in the paper's
@@ -204,9 +205,6 @@ func Recover(db *core.Database, tables TableSet, store *ckpt.Store, opts Options
 	if opts.Workers <= 0 {
 		opts.Workers = 4
 	}
-	if opts.BatchRows <= 0 {
-		opts.BatchRows = 256
-	}
 
 	man, dir, err := store.LatestManifest()
 	if err != nil {
@@ -284,7 +282,7 @@ func restoreCheckpoint(db *core.Database, tables TableSet, man *ckpt.Manifest, d
 		go func() {
 			defer wg.Done()
 			for j := range ch {
-				n, err := restorePartition(db, j.tbl, j.path, j.info, opts.BatchRows)
+				n, err := restorePartition(db, j.tbl, j.path, j.info)
 				if err != nil {
 					fail(err)
 					continue
@@ -317,7 +315,7 @@ func restoreCheckpoint(db *core.Database, tables TableSet, man *ckpt.Manifest, d
 
 // restorePartition streams one partition file into the table in batched
 // insert transactions.
-func restorePartition(db *core.Database, tbl *core.Table, path string, info ckpt.PartInfo, batchRows int) (int, error) {
+func restorePartition(db *core.Database, tbl *core.Table, path string, info ckpt.PartInfo) (int, error) {
 	var (
 		batch [][]byte
 		total int
@@ -352,7 +350,7 @@ func restorePartition(db *core.Database, tbl *core.Table, path string, info ckpt
 		cp := make([]byte, len(payload))
 		copy(cp, payload)
 		batch = append(batch, cp)
-		if len(batch) >= batchRows {
+		if len(batch) >= restoreBatchRows {
 			return flush()
 		}
 		return nil

@@ -118,8 +118,8 @@ func (ix *OrderedIndex) SweepNodes(stamp func() uint64, max int) int {
 }
 
 // FreeNodes resets and pools dead nodes whose stamp quiesced approves (for
-// the multiversion engine: the GC watermark has passed the stamp and no
-// collector is mid-traversal). Pooled nodes are reused by Link for new keys.
+// the multiversion engine: the GC watermark has passed the stamp). Pooled
+// nodes are reused by Link for new keys.
 func (ix *OrderedIndex) FreeNodes(quiesced func(stamp uint64) bool, max int) int {
 	return ix.list.FreeDead(quiesced, func(b *Bucket) {
 		b.head.Store(nil)

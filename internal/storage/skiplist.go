@@ -96,13 +96,6 @@ func newSkipNode[V any](height int) *SkipNode[V] {
 	return n
 }
 
-// deadSkipNode is an unlinked node awaiting quiescence, stamped with the
-// owner-supplied epoch at sweep time.
-type deadSkipNode[V any] struct {
-	n     *SkipNode[V]
-	stamp uint64
-}
-
 // SkipList is a concurrent skip list keyed by uint64. The zero value is an
 // empty list ready for use.
 //
@@ -118,10 +111,10 @@ type deadSkipNode[V any] struct {
 // sweep unlinks marked nodes from the towers under the insertion latch, and
 // quiesced dead nodes are reset and pooled for reuse by GetOrCreate. The
 // list is agnostic about what "quiesced" means — the multiversion engine
-// proves it with the GC watermark (no active transaction began before the
-// unlink), the single-version engine with an explicit reader epoch
-// (gc.Epoch). Both guarantee that no reader can still hold a pointer to a
-// node by the time it is reset.
+// proves it with the GC watermark (no active transaction, fast-lane reader
+// or GC round pinned before the unlink), the single-version engine with an
+// explicit reader epoch (gc.Epoch). Both guarantee that no reader can still
+// hold a pointer to a node by the time it is reset.
 type SkipList[V any] struct {
 	// headNext is the sentinel tower: headNext[lvl] is the first node of
 	// level lvl.
@@ -132,13 +125,16 @@ type SkipList[V any] struct {
 	rng  uint64 // xorshift64 state, guarded by mu
 	n    atomic.Int64
 	pool []*SkipNode[V] // quiesced nodes ready for reuse; guarded by mu
+	// sweep is SweepMarked's scratch batch, kept across rounds; guarded by mu.
+	sweep []*SkipNode[V]
 
-	// reclaimMu guards the two reclamation queues. It nests inside mu (and
-	// inside the owner's chain latches) and is never held across node
-	// traversal.
+	// reclaimMu guards marked. It nests inside mu (and inside the owner's
+	// chain latches) and is never held across node traversal.
 	reclaimMu sync.Mutex
-	marked    []*SkipNode[V]    // logically deleted, still linked
-	dead      []deadSkipNode[V] // unlinked, awaiting quiescence (stamps ascend)
+	marked    []*SkipNode[V] // logically deleted, still linked
+	// dead holds unlinked nodes until the owner's quiescence test passes
+	// their sweep stamp.
+	dead Limbo[*SkipNode[V]]
 
 	created atomic.Uint64
 	reused  atomic.Uint64
@@ -333,7 +329,7 @@ func (s *SkipList[V]) Revive(n *SkipNode[V]) bool {
 // stamp drawn before the unlink would let a reader slip in between — born
 // after the stamp, traversing while the unlink happens — and be invisible to
 // the quiescence test. The draw happens under the insertion latch, so
-// concurrent sweeps enqueue in stamp order and the dead queue stays FIFO.
+// concurrent sweeps defer their nodes in stamp order.
 //
 // A swept node keeps its outgoing tower pointers: a reader parked on it
 // mid-scan continues into nodes that were its successors at unlink time
@@ -357,11 +353,8 @@ func (s *SkipList[V]) SweepMarked(stamp func() uint64, max int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reclaimMu.Lock()
-	if k > len(s.marked) {
-		k = len(s.marked)
-	}
-	batch := make([]*SkipNode[V], k)
-	copy(batch, s.marked[:k])
+	k = min(k, len(s.marked))
+	batch := append(s.sweep[:0], s.marked[:k]...)
 	m := copy(s.marked, s.marked[k:])
 	clear(s.marked[m:])
 	s.marked = s.marked[:m]
@@ -382,49 +375,27 @@ func (s *SkipList[V]) SweepMarked(stamp func() uint64, max int) int {
 		}
 		swept = append(swept, n)
 	}
-	if len(swept) == 0 {
-		return 0
+	if len(swept) > 0 {
+		st := stamp() // after every unlink above; see the contract in the doc comment
+		for _, n := range swept {
+			s.dead.Defer(n, st)
+		}
 	}
-	st := stamp() // after every unlink above; see the contract in the doc comment
-	s.reclaimMu.Lock()
-	for _, n := range swept {
-		s.dead = append(s.dead, deadSkipNode[V]{n, st})
-	}
-	s.reclaimMu.Unlock()
+	clear(batch)
+	s.sweep = batch[:0]
 	return len(swept)
 }
 
 // FreeDead resets and pools up to max dead nodes whose stamp the quiesced
-// predicate approves. quiesced is called under the reclamation lock, after
-// the sweep that produced the entry (so its loads are ordered after the
-// unlink stores): returning true asserts that no reader pinned or begun
-// before the stamp remains, hence no pointer to the node survives anywhere.
-// reset clears the node's embedded value; the key and exactly height tower
-// levels are cleared here so pooled nodes retain no references into the
-// list. The height itself is kept: it sizes the node's allocation.
+// predicate approves. quiesced is called after the sweep that produced the
+// entry (so its loads are ordered after the unlink stores): returning true
+// asserts that no reader pinned or begun before the stamp remains, hence no
+// pointer to the node survives anywhere. reset clears the node's embedded
+// value; the key and exactly height tower levels are cleared here so pooled
+// nodes retain no references into the list. The height itself is kept: it
+// sizes the node's allocation.
 func (s *SkipList[V]) FreeDead(quiesced func(stamp uint64) bool, reset func(*V), max int) int {
-	if max <= 0 {
-		max = 1 << 30
-	}
-	s.reclaimMu.Lock()
-	k := 0
-	for k < len(s.dead) && k < max && quiesced(s.dead[k].stamp) {
-		k++
-	}
-	if k == 0 {
-		s.reclaimMu.Unlock()
-		return 0
-	}
-	batch := make([]*SkipNode[V], k)
-	for i := 0; i < k; i++ {
-		batch[i] = s.dead[i].n
-	}
-	m := copy(s.dead, s.dead[k:])
-	clear(s.dead[m:])
-	s.dead = s.dead[:m]
-	s.reclaimMu.Unlock()
-
-	for _, n := range batch {
+	k := s.dead.Drain(quiesced, max, func(n *SkipNode[V]) {
 		if reset != nil {
 			reset(&n.V)
 		}
@@ -432,10 +403,10 @@ func (s *SkipList[V]) FreeDead(quiesced func(stamp uint64) bool, reset func(*V),
 			n.level(i).Store(nil)
 		}
 		n.key = 0
-	}
-	s.mu.Lock()
-	s.pool = append(s.pool, batch...)
-	s.mu.Unlock()
+		s.mu.Lock()
+		s.pool = append(s.pool, n)
+		s.mu.Unlock()
+	})
 	s.freed.Add(uint64(k))
 	return k
 }
@@ -448,11 +419,7 @@ func (s *SkipList[V]) MarkedLen() int {
 }
 
 // DeadLen returns the number of unlinked nodes awaiting quiescence.
-func (s *SkipList[V]) DeadLen() int {
-	s.reclaimMu.Lock()
-	defer s.reclaimMu.Unlock()
-	return len(s.dead)
-}
+func (s *SkipList[V]) DeadLen() int { return s.dead.Len() }
 
 // PoolLen returns the number of quiesced nodes ready for reuse.
 func (s *SkipList[V]) PoolLen() int {

@@ -277,3 +277,36 @@ func TestSkipListConcurrentReclaim(t *testing.T) {
 		prev = int64(n.Key())
 	}
 }
+
+// TestSkipListReclaimRoundAllocs: once warmed, a reclamation round — 32 keys
+// created from the reuse pool, marked, swept and freed back to the pool —
+// allocates nothing. The sweep batch is a scratch slice kept under the
+// insertion latch, and the dead nodes wait in a Limbo whose drain copies
+// nothing out.
+func TestSkipListReclaimRoundAllocs(t *testing.T) {
+	var s SkipList[int]
+	for k := uint64(0); k < 256; k += 2 {
+		s.GetOrCreate(k) // live neighbours for the sweep's descents
+	}
+	var stamp uint64
+	next := func() uint64 { stamp++; return stamp }
+	round := func() {
+		for k := uint64(1); k < 64; k += 2 {
+			n := s.GetOrCreate(k)
+			s.Revive(n)
+			s.MarkDeleted(n)
+		}
+		if n := s.SweepMarked(next, 0); n != 32 {
+			t.Fatalf("swept %d, want 32", n)
+		}
+		if n := s.FreeDead(always, func(v *int) { *v = 0 }, 0); n != 32 {
+			t.Fatalf("freed %d, want 32", n)
+		}
+	}
+	for range 4 {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("%.1f allocations per warmed reclaim round, want 0", allocs)
+	}
+}

@@ -1,7 +1,6 @@
 package sv
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -77,13 +76,6 @@ type Engine struct {
 	fastCommits atomic.Uint64
 	nodesSwept  atomic.Uint64
 	nodesFreed  atomic.Uint64
-
-	// degraded latches after a log append fails for any reason other than a
-	// clean shutdown: new writes fail fast with ErrDegraded, reads keep
-	// serving. See the mv engine's identical mechanism.
-	degraded     atomic.Bool
-	degradeMu    sync.Mutex
-	degradeCause error
 }
 
 // NewEngine constructs a single-version engine.
@@ -101,31 +93,6 @@ func NewEngine(cfg Config) *Engine {
 	e.txPool.New = func() any { return &Tx{e: e} }
 	e.nodeEpoch.Init(0)
 	return e
-}
-
-// degrade latches the engine read-only after a log failure; a clean log
-// shutdown (wal.ErrClosed) does not count.
-func (e *Engine) degrade(err error) {
-	if err == nil || errors.Is(err, wal.ErrClosed) {
-		return
-	}
-	e.degradeMu.Lock()
-	if e.degradeCause == nil {
-		e.degradeCause = err
-	}
-	e.degradeMu.Unlock()
-	e.degraded.Store(true)
-}
-
-// Degraded returns the latched log failure that flipped the engine
-// read-only, or nil while healthy.
-func (e *Engine) Degraded() error {
-	if !e.degraded.Load() {
-		return nil
-	}
-	e.degradeMu.Lock()
-	defer e.degradeMu.Unlock()
-	return e.degradeCause
 }
 
 // Close closes the attached log, if any.

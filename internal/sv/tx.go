@@ -414,7 +414,7 @@ func (tx *Tx) Insert(t *Table, payload []byte) error {
 	if tx.readOnly {
 		return ErrReadOnlyTx
 	}
-	if tx.e.degraded.Load() {
+	if tx.e.cfg.Log.Failed() {
 		return ErrDegraded
 	}
 	r := newRecord(t, payload)
@@ -464,7 +464,7 @@ func (tx *Tx) Update(t *Table, r *Record, newPayload []byte) error {
 	if tx.readOnly {
 		return ErrReadOnlyTx
 	}
-	if tx.e.degraded.Load() {
+	if tx.e.cfg.Log.Failed() {
 		return ErrDegraded
 	}
 	oldKeys, err := tx.lockRecordX(t, r)
@@ -521,7 +521,7 @@ func (tx *Tx) Delete(t *Table, r *Record) error {
 	if tx.readOnly {
 		return ErrReadOnlyTx
 	}
-	if tx.e.degraded.Load() {
+	if tx.e.cfg.Log.Failed() {
 		return ErrDegraded
 	}
 	oldKeys, err := tx.lockRecordX(t, r)
@@ -664,14 +664,13 @@ func (tx *Tx) CommitTS() (uint64, error) {
 	if tx.e.cfg.Log != nil && len(tx.writes) > 0 {
 		rec := &wal.Record{TxID: tx.id, EndTS: endTS, Ops: tx.writes}
 		if err := tx.e.cfg.Log.Append(rec); err != nil {
-			// The in-flight commit rolls back, and the engine flips
-			// read-only: a log that cannot accept records cannot back any
-			// future acknowledgement either. The end sequence is returned
-			// with the error: after a power loss the record may still sit
-			// below the surviving torn tail, and crash harnesses need the
-			// timestamp to place such an unknown-outcome transaction when
-			// recovery proves it durable.
-			tx.e.degrade(err)
+			// The in-flight commit rolls back, and the log's latched
+			// failure flips the engine read-only: a log that cannot accept
+			// records cannot back any future acknowledgement either. The
+			// end sequence is returned with the error: after a power loss
+			// the record may still sit below the surviving torn tail, and
+			// crash harnesses need the timestamp to place such an
+			// unknown-outcome transaction when recovery proves it durable.
 			tx.rollback()
 			return endTS, err
 		}

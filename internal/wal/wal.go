@@ -17,6 +17,7 @@ import (
 	"errors"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -131,6 +132,10 @@ type LogStats struct {
 // appenders encode into the pending batch under mu while the flusher writes
 // the previous one, and a batch's outcome is published by sequence number.
 type Log struct {
+	// failed is set when err latches and read, without mu, by every engine
+	// write (Failed). It leads the read-only fields so that it never shares
+	// a cache line with the ones every Append writes, mu onwards.
+	failed atomic.Bool
 	cfg    Config
 	syncer Syncer        // cfg.Sink when it can fsync and cfg.Durability is Fsync
 	kick   chan struct{} // capacity 1: a token tells the flusher to look for a due batch
@@ -313,6 +318,11 @@ func (l *Log) Err() error {
 	return l.err
 }
 
+// Failed reports, with one atomic load, whether Err has latched a failure;
+// false for a nil log. Engine write paths check it to fail fast with
+// ErrDegraded. A clean Close never sets it.
+func (l *Log) Failed() bool { return l != nil && l.failed.Load() }
+
 // run is the flusher. A batch is due as soon as an appender waits on it
 // (Flush/Fsync durability), when it has reached BatchSize, when a Flush call
 // asks for it, when the log is closing, or on the tick. The flusher keeps
@@ -380,6 +390,7 @@ func (l *Log) flushPending() {
 	l.mu.Lock()
 	if err != nil && l.err == nil {
 		l.err, l.failSeq = err, seq
+		l.failed.Store(true)
 	}
 	l.stats.Flushed += uint64(n)
 	l.stats.Batches++
