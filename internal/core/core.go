@@ -328,7 +328,9 @@ func (db *Database) Stats() Stats {
 // flushed records, batches, bytes, fsyncs issued (the group-commit
 // amortization ratio is Appended/Syncs) and the total time the flusher spent
 // in them (SyncNanos/Syncs is the mean fsync, the unit a durable commit's
-// latency is measured against). Zero-valued when the database was opened
+// latency is measured against), and HeldNanos, the time the flusher held due
+// batches open for the rest of their committer cohort (bounded by the fsyncs,
+// so it stays below SyncNanos). Zero-valued when the database was opened
 // without a log sink.
 func (db *Database) LogStats() wal.LogStats {
 	if db.log == nil {

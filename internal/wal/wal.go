@@ -16,6 +16,7 @@ package wal
 import (
 	"errors"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,7 +110,9 @@ type Config struct {
 	BatchSize int
 	// FlushInterval is the flusher's tick: it bounds how long an Async
 	// record may sit unflushed. At Flush/Fsync durability no commit waits
-	// for it — the first waiter of a batch makes the batch due.
+	// for it: the first waiter of a batch makes the batch due, and the
+	// flusher's hold for the rest of the cohort is bounded by its measured
+	// fsync, not by a clock.
 	FlushInterval time.Duration
 	// BufferedRecords bounds the staging batch; Append blocks while it is
 	// full (natural backpressure at extreme rates).
@@ -126,6 +129,10 @@ type LogStats struct {
 	// SyncNanos is the total time the flusher spent inside the sink's Sync,
 	// timed off the committers' path; SyncNanos/Syncs is the mean fsync.
 	SyncNanos uint64
+	// HeldNanos is the total time the flusher held a due batch open for the
+	// rest of its cohort, timed the same way. Each hold is bounded by the
+	// last fsync, so HeldNanos stays below SyncNanos.
+	HeldNanos uint64
 }
 
 // Log is a group-commit redo log built on one double-buffered staging batch:
@@ -152,6 +159,9 @@ type Log struct {
 	seq     uint64 // sequence number of pending; batches count from 1
 	doneSeq uint64 // outcomes of all batches <= doneSeq are published
 	failSeq uint64 // first failed batch: it and every later one got err; 0 while err is nil
+
+	cohort   int           // durable committers seen in one round: the last batch's records plus those staged behind it
+	lastSync time.Duration // the last successful Sync; bounds a hold
 
 	closed bool
 	err    error
@@ -325,10 +335,10 @@ func (l *Log) Failed() bool { return l != nil && l.failed.Load() }
 
 // run is the flusher. A batch is due as soon as an appender waits on it
 // (Flush/Fsync durability), when it has reached BatchSize, when a Flush call
-// asks for it, when the log is closing, or on the tick. The flusher keeps
-// looping while the batch staged during its last write has a waiter, so a
-// durable commit waits for at most the write and fsync in progress plus its
-// own, and every commit staged meanwhile shares that one fsync. The tick
+// asks for it, when the log is closing, or on the tick. A batch that is due
+// only because a committer waits on it is held (see hold) until the rest of
+// the previous round's committers are back, so a closed-loop cohort shares
+// one fsync instead of splitting into cohorts that take turns. The tick
 // only paces Async records: it is a Ticker, not a timer re-armed after each
 // flush, so its cadence does not stretch by the time a flush takes, and a
 // tick that fires during a flush is kept.
@@ -346,6 +356,7 @@ func (l *Log) run() {
 		l.mu.Lock()
 		for l.recs > 0 && (tick || l.forced || l.waited || l.recs >= l.cfg.BatchSize || l.closed) {
 			tick = false
+			l.hold()
 			l.flushPending()
 		}
 		closed := l.closed
@@ -354,6 +365,41 @@ func (l *Log) run() {
 			return
 		}
 	}
+}
+
+// hold keeps a durable batch open while fewer of its cohort have staged than
+// the previous round acknowledged. It ends when the cohort or BatchSize is
+// reached, on a Flush call, Close or a latched error, or once it has lasted
+// lastSync/recs: holding n records for w to gain one more pays iff
+// (n+1)/(F+w) > n/F, that is iff w < F/n for an fsync of F. Without a Sync
+// (Flush durability) the bound is 0 and nothing is held. A hold that runs
+// out flushes what it has, and the next outcome re-estimates the cohort, so a
+// committer that left costs one bounded hold. It waits by yielding, not on a
+// timer, because a Go timer can fire later than the whole fsync. Called and
+// returns with l.mu held.
+func (l *Log) hold() {
+	if !l.holding() {
+		return
+	}
+	start := time.Now()
+	for {
+		l.mu.Unlock()
+		runtime.Gosched()
+		l.mu.Lock()
+		held := time.Since(start)
+		if !l.holding() || held >= l.lastSync/time.Duration(l.recs) {
+			l.stats.HeldNanos += uint64(held)
+			return
+		}
+	}
+}
+
+// holding reports whether the pending batch is due only because a committer
+// waits on it, still lacks members of its cohort, and has an fsync to bound
+// the hold by. Called with l.mu held.
+func (l *Log) holding() bool {
+	return l.waited && !l.forced && !l.closed && l.err == nil &&
+		l.recs < l.cfg.BatchSize && l.recs < l.cohort && l.lastSync > 0
 }
 
 // flushPending swaps the pending batch out, hands it to the sink in exactly
@@ -398,7 +444,8 @@ func (l *Log) flushPending() {
 	l.stats.SyncNanos += uint64(syncTime)
 	if synced {
 		l.stats.Syncs++
+		l.lastSync = syncTime
 	}
-	l.doneSeq = seq
+	l.doneSeq, l.cohort = seq, n+l.recs
 	l.cond.Broadcast()
 }
