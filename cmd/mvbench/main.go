@@ -62,12 +62,12 @@ func main() {
 	}
 	cfg.MPLs = mpls
 
+	start := time.Now() // ByID runs the experiments
 	reports, err := cfg.ByID(strings.ToLower(*experiment))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	start := time.Now()
 	for i, r := range reports {
 		if i > 0 {
 			fmt.Println()

@@ -54,8 +54,9 @@ type Stats struct {
 //     into partition files by primary-key range (keyenc.PartitionOf);
 //  2. flush the log and rotate the live segment, so every record with end
 //     timestamp <= S is in a sealed segment;
-//  3. fsync the partition files, then publish manifest and CURRENT
-//     (each an atomic temp-file rename);
+//  3. fsync the partition files and their directory, then publish manifest
+//     and CURRENT (each an atomic temp-file rename followed by a sync of
+//     its directory);
 //  4. truncate the log below S (CompactBelow).
 //
 // A crash anywhere in that sequence is safe: before the CURRENT flip,
@@ -147,6 +148,9 @@ func (c *Checkpointer) Run() (Stats, error) {
 	dirName := fmt.Sprintf("ckpt-%06d", seq)
 	dir := filepath.Join(c.store.Dir(), dirName)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return stats, err
+	}
+	if err := c.store.syncDirLatched(c.store.Dir()); err != nil {
 		return stats, err
 	}
 
@@ -255,6 +259,11 @@ func (c *Checkpointer) Run() (Stats, error) {
 			stats.Partitions++
 		}
 		man.Tables = append(man.Tables, tm)
+	}
+	// The partition files' entries are durable before the manifest names
+	// them.
+	if err := c.store.syncDirLatched(dir); err != nil {
+		return stats, err
 	}
 
 	if err := c.store.publishCheckpoint(dirName, man); err != nil {

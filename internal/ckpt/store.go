@@ -84,7 +84,8 @@ type Store struct {
 
 // OpenStore opens (creating if needed) a store rooted at dir and starts a
 // fresh live segment after any existing ones — reopening after a crash never
-// appends to a possibly-torn segment.
+// appends to a possibly-torn segment. The new directory and segment are
+// durable entries before OpenStore returns.
 func OpenStore(dir string) (*Store, error) {
 	return OpenStoreWith(dir, StoreOptions{})
 }
@@ -92,6 +93,9 @@ func OpenStore(dir string) (*Store, error) {
 // OpenStoreWith is OpenStore with explicit segment options.
 func OpenStoreWith(dir string, opts StoreOptions) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	if err := syncDir(filepath.Dir(dir)); err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts}
@@ -109,6 +113,7 @@ func OpenStoreWith(dir string, opts StoreOptions) (*Store, error) {
 		}
 	}
 	if err := s.openSegmentLocked(); err != nil {
+		_ = s.Close() // the store is discarded; err is the failure to report
 		return nil, err
 	}
 	return s, nil
@@ -120,6 +125,9 @@ func (s *Store) SetFaults(f *wal.Faults) { s.faults = f }
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
+// openSegmentLocked creates the next live segment and syncs the store's
+// directory, so the segment's entry is durable before any batch written to
+// it is acknowledged.
 func (s *Store) openSegmentLocked() error {
 	s.segSeq++
 	s.segPath = filepath.Join(s.dir, fmt.Sprintf("wal-%06d.log", s.segSeq))
@@ -141,7 +149,7 @@ func (s *Store) openSegmentLocked() error {
 	s.segFault = segFault
 	s.segSize = int64(len(wal.SegmentHeader()))
 	s.segSynced = s.segSize
-	return nil
+	return syncDir(s.dir)
 }
 
 // Write appends one group-commit batch to the live segment (io.Writer for
@@ -292,8 +300,9 @@ func (s *Store) Rotate() error {
 		return err
 	}
 	if err := s.openSegmentLocked(); err != nil {
-		// The old segment is sealed but the next one never opened: the store
-		// has no live segment to write to, which is fatal, not transient.
+		// The old segment is sealed but the next one never opened, or its
+		// entry may not be durable: the store has no live segment it can
+		// acknowledge writes in, which is fatal, not transient.
 		s.latchLocked(err)
 		return err
 	}
@@ -389,7 +398,9 @@ func (s *Store) SegmentPaths() ([]string, error) {
 // is what bounds log growth). Segments left empty are removed. The rewrite
 // is atomic per segment (temp file + rename), so a crash mid-compaction
 // leaves each segment either intact or fully compacted — both replay
-// correctly. It returns the number of log bytes reclaimed.
+// correctly. Once every segment is done, the directory is synced so the
+// renames and removals are durable. It returns the number of log bytes
+// reclaimed.
 func (s *Store) CompactBelow(stable uint64) (int64, error) {
 	if s.frozen.Load() {
 		return 0, ErrFrozen
@@ -408,6 +419,11 @@ func (s *Store) CompactBelow(stable uint64) (int64, error) {
 			return reclaimed, err
 		}
 		reclaimed += n
+	}
+	if reclaimed > 0 {
+		if err := s.syncDirLatched(s.dir); err != nil {
+			return reclaimed, err
+		}
 	}
 	return reclaimed, nil
 }
@@ -510,10 +526,11 @@ func (w *faultFile) Write(p []byte) (int, error) {
 }
 
 // publishCheckpoint writes the manifest into the checkpoint directory and
-// flips CURRENT to it. Both steps are write-temp-then-rename, so CURRENT
-// always names a directory whose manifest is complete; the FaultManifest
-// point freezes between the two renames, leaving a complete but unpublished
-// checkpoint.
+// flips CURRENT to it. Both steps are write-temp-then-rename followed by a
+// sync of the renamed file's directory, so CURRENT always names a directory
+// whose manifest is complete and durable, and the flip itself is durable
+// before log truncation starts. The FaultManifest point freezes between the
+// two renames, leaving a complete but unpublished checkpoint.
 func (s *Store) publishCheckpoint(dirName string, man *Manifest) error {
 	if s.frozen.Load() {
 		return ErrFrozen
@@ -523,7 +540,7 @@ func (s *Store) publishCheckpoint(dirName string, man *Manifest) error {
 		return err
 	}
 	manPath := filepath.Join(s.dir, dirName, "manifest.json")
-	if err := writeFileSync(manPath, raw); err != nil {
+	if err := s.writeFileSync(manPath, raw); err != nil {
 		return err
 	}
 	if s.faults.Fire(FaultManifest) {
@@ -533,11 +550,12 @@ func (s *Store) publishCheckpoint(dirName string, man *Manifest) error {
 	if s.frozen.Load() {
 		return ErrFrozen
 	}
-	return writeFileSync(filepath.Join(s.dir, "CURRENT"), []byte(dirName+"\n"))
+	return s.writeFileSync(filepath.Join(s.dir, "CURRENT"), []byte(dirName+"\n"))
 }
 
-// writeFileSync writes data to path atomically: temp file, fsync, rename.
-func writeFileSync(path string, data []byte) error {
+// writeFileSync writes data to path atomically and durably: temp file,
+// fsync, rename, directory sync.
+func (s *Store) writeFileSync(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -554,7 +572,38 @@ func writeFileSync(path string, data []byte) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return s.syncDirLatched(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making the entries created, renamed or removed
+// in it durable: fsync(2) on a file does not persist its directory entry. It
+// is a variable so tests can record the calls or fail them.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDirLatched syncs dir and latches a failure like a failed fsync: the
+// store can no longer promise that its namespace matches what it
+// acknowledged. A frozen store reports success (the modelled process is
+// dead).
+func (s *Store) syncDirLatched(dir string) error {
+	if s.frozen.Load() {
+		return nil
+	}
+	err := syncDir(dir)
+	s.latch(err)
+	return err
 }
 
 // LatestManifest returns the most recently published checkpoint's manifest

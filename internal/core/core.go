@@ -218,15 +218,14 @@ func (db *Database) FunnelStats() ts.FunnelStats {
 
 // PinOverflows reports how many reader-pin acquisitions found every slot of
 // the striped pin table occupied and fell back to a slower registered path
-// (MV: a registered transaction covering a read-only begin, a capture or a
-// GC round; 1V: node-epoch entry). Persistent
-// overflow on a healthy workload means the pin table is undersized for the
-// machine's concurrency.
+// (a registered transaction covering a read-only begin or a capture).
+// Persistent overflow on a healthy workload means the pin table is
+// undersized for the machine's concurrency. 1V has no pin table and reads 0.
 func (db *Database) PinOverflows() uint64 {
 	if db.mvEng != nil {
 		return db.mvEng.PinTableOverflows()
 	}
-	return db.svEng.PinTableOverflows()
+	return 0
 }
 
 // Degraded returns the latched log failure that flipped the database into

@@ -51,8 +51,8 @@ type Collector struct {
 	free func(*storage.Version)
 
 	// lastWM caches the watermark computed by the most recent Collect round,
-	// so the engine's other quiescence queues (transaction objects, index
-	// nodes) read one atomic instead of recomputing the minimum.
+	// so the engine's other quiescence queue (transaction objects) reads one
+	// atomic instead of recomputing the minimum.
 	lastWM atomic.Uint64
 
 	shards   [queueShards]queueShard

@@ -92,9 +92,9 @@ type Stats struct {
 	// ReadOnlyBegins counts transactions started on the registration-free
 	// read-only fast lane (BeginReadOnly with a pin slot available).
 	ReadOnlyBegins uint64
-	// PinOverflows counts read-only begins, checkpoint captures and GC
-	// rounds that found every reader-pin slot occupied and were covered by a
-	// registered transaction instead.
+	// PinOverflows counts read-only begins and checkpoint captures that
+	// found every reader-pin slot occupied and were covered by a registered
+	// transaction instead.
 	PinOverflows uint64
 	// FastCommits counts commits that skipped the end-timestamp draw: the
 	// transaction wrote nothing, held no locks, and needed no validation.
@@ -102,9 +102,6 @@ type Stats struct {
 	// IndexNodesSwept counts ordered-index skip-list nodes unlinked from
 	// their towers after their last version was garbage collected.
 	IndexNodesSwept uint64
-	// IndexNodesFreed counts swept nodes that passed quiescence and were
-	// reset into the node reuse pool.
-	IndexNodesFreed uint64
 }
 
 // Engine is a multiversion main-memory storage engine.
@@ -117,10 +114,9 @@ type Engine struct {
 	det    *deadlock.Detector
 
 	// pins publishes the read times of readers the transaction table cannot
-	// see — read-only fast-lane transactions, checkpoint captures, the
-	// deadlock detector's iteration epoch and the garbage collector's own
-	// rounds — so the GC watermark never passes them. See gc.ReaderPins for
-	// the protocol.
+	// see — read-only fast-lane transactions, checkpoint captures and the
+	// deadlock detector's iteration epoch — so the GC watermark never passes
+	// them. See gc.ReaderPins for the protocol.
 	pins gc.ReaderPins
 
 	tablesMu sync.RWMutex
@@ -145,7 +141,6 @@ type Engine struct {
 	pinOverflows atomic.Uint64
 	fastCommits  atomic.Uint64
 	nodesSwept   atomic.Uint64
-	nodesFreed   atomic.Uint64
 
 	commits          atomic.Uint64
 	aborts           atomic.Uint64
@@ -271,7 +266,6 @@ func (e *Engine) Stats() Stats {
 		PinOverflows:     e.pinOverflows.Load(),
 		FastCommits:      e.fastCommits.Load(),
 		IndexNodesSwept:  e.nodesSwept.Load(),
-		IndexNodesFreed:  e.nodesFreed.Load(),
 	}
 	s.DeadlockVictims = e.det.Victims()
 	return s
@@ -356,8 +350,7 @@ func (e *Engine) pin() (slot int, cover *Tx) {
 }
 
 // unpin releases what pin returned. A cover leaves the transaction table
-// and is recycled without counting as a commit or running a GC round, so a
-// round that pinned itself never re-enters collect.
+// and is recycled without counting as a commit or running a GC round.
 func (e *Engine) unpin(slot int, cover *Tx) {
 	if cover == nil {
 		e.pins.Release(slot)
@@ -410,21 +403,15 @@ func (e *Engine) recycleTx(tx *Tx) {
 }
 
 // collect runs one garbage collection round, sweeps dead ordered-index
-// nodes, and then recycles the transaction objects and index nodes the
-// watermark has quiesced. The round is pinned like a fast-lane reader:
-// Collect's index unlinks and the sweep's predecessor searches traverse
-// skip lists outside any transaction, and the pin, published before the
-// first index load, keeps the watermark — hence every other round's frees —
-// at or below this round's start until it has dropped its node pointers.
+// nodes, and then recycles the transaction objects the watermark has
+// quiesced. The round needs no reader pin: the skip-list nodes it traverses
+// outside any transaction are never reused, and the version chains it walks
+// are walked under their bucket latch.
 func (e *Engine) collect(limit int) int {
-	slot, cover := e.pin()
 	n := e.gc.Collect(limit)
 	e.sweepIndexNodes(limit)
-	e.unpin(slot, cover)
 	wm := e.gc.Watermark()
-	quiesced := func(stamp uint64) bool { return stamp < wm }
-	e.txLimbo.Drain(quiesced, 0, e.putTx)
-	e.freeIndexNodes(quiesced, limit)
+	e.txLimbo.Drain(func(stamp uint64) bool { return stamp < wm }, 0, e.putTx)
 	return n
 }
 
@@ -444,26 +431,12 @@ func (e *Engine) forEachOrderedIndex(fn func(ix *storage.OrderedIndex)) {
 	}
 }
 
-// sweepIndexNodes unlinks marked skip-list nodes, stamping them with the
-// clock read after the unlinks: any transaction that can still reach a node
-// loaded its pointer before the unlink, so its begin timestamp was drawn
-// before the stamp and bounds the watermark below it until the transaction
-// finishes.
+// sweepIndexNodes unlinks marked skip-list nodes and leaves them to the Go
+// collector: a transaction still holding one keeps it alive.
 func (e *Engine) sweepIndexNodes(limit int) {
 	e.forEachOrderedIndex(func(ix *storage.OrderedIndex) {
-		if n := ix.SweepNodes(e.oracle.Current, limit); n > 0 {
+		if n := ix.SweepNodes(limit); n > 0 {
 			e.nodesSwept.Add(uint64(n))
-		}
-	})
-}
-
-// freeIndexNodes resets swept nodes into the reuse pool once the watermark
-// passed their unlink stamp: no transaction, fast-lane reader or GC round
-// that could hold the node remains.
-func (e *Engine) freeIndexNodes(quiesced func(stamp uint64) bool, limit int) {
-	e.forEachOrderedIndex(func(ix *storage.OrderedIndex) {
-		if n := ix.FreeNodes(quiesced, limit); n > 0 {
-			e.nodesFreed.Add(uint64(n))
 		}
 	})
 }

@@ -2,9 +2,11 @@ package mv
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"repro/internal/storage"
 )
@@ -45,6 +47,22 @@ func deleteKey(t *testing.T, e *Engine, tbl *storage.Table, k uint64) {
 	mustCommit(t, tx)
 }
 
+// checkNodeAccounting asserts, once reclamation has drained, that every
+// skip-list node ever created is either a live key's or was swept: no node
+// is left marked, and none is reused.
+func checkNodeAccounting(t *testing.T, e *Engine, ix *storage.OrderedIndex) {
+	t.Helper()
+	marked, created := ix.NodeStats()
+	swept := e.Stats().IndexNodesSwept
+	t.Logf("keys=%d marked=%d created=%d swept=%d", ix.Keys(), marked, created, swept)
+	if marked != 0 {
+		t.Fatalf("%d nodes still marked after the final rounds", marked)
+	}
+	if uint64(ix.Keys())+swept != created {
+		t.Fatalf("keys %d + swept %d != created %d", ix.Keys(), swept, created)
+	}
+}
+
 // TestOrderedNodeChurnBounded is the acceptance churn test: a delete-heavy,
 // ever-shifting key domain must leave the ordered index holding O(live keys)
 // skip-list nodes, not one node per key ever inserted.
@@ -61,7 +79,7 @@ func TestOrderedNodeChurnBounded(t *testing.T) {
 		}
 	}
 	// Drain: dummy transactions advance the watermark past the last deletes
-	// while GC rounds mark, sweep, and free the nodes.
+	// while GC rounds mark and sweep the nodes.
 	for i := 0; i < 8; i++ {
 		tx := e.Begin(Optimistic, SnapshotIsolation)
 		mustCommit(t, tx)
@@ -72,23 +90,7 @@ func TestOrderedNodeChurnBounded(t *testing.T) {
 	if keys := ix.Keys(); keys > window+16 {
 		t.Fatalf("Keys() = %d after churn, want ~%d (live window): nodes are leaking", keys, window)
 	}
-	marked, dead, pooled, created, reused, freed := ix.NodeStats()
-	t.Logf("keys=%d marked=%d dead=%d pooled=%d created=%d reused=%d freed=%d",
-		ix.Keys(), marked, dead, pooled, created, reused, freed)
-	if created > total/2 {
-		t.Fatalf("allocated %d nodes for %d inserts over a %d-key window: reuse is not working", created, total, window)
-	}
-	if reused == 0 || freed == 0 {
-		t.Fatalf("reused=%d freed=%d: reclamation never completed", reused, freed)
-	}
-	// Physical retention (dead + pooled) must also be bounded.
-	if dead+pooled > total/2 {
-		t.Fatalf("dead=%d pooled=%d nodes retained", dead, pooled)
-	}
-	st := e.Stats()
-	if st.IndexNodesSwept == 0 || st.IndexNodesFreed == 0 {
-		t.Fatalf("engine stats: swept=%d freed=%d", st.IndexNodesSwept, st.IndexNodesFreed)
-	}
+	checkNodeAccounting(t, e, ix)
 
 	// Deleted keys are gone; live window reads correctly across schemes.
 	tx := e.Begin(Optimistic, SnapshotIsolation)
@@ -114,7 +116,7 @@ func TestOrderedNodeRevival(t *testing.T) {
 		k := uint64(7) // same key dies and revives every round
 		insertKey(t, e, tbl, k)
 		deleteKey(t, e, tbl, k)
-		// A couple of GC rounds: mark, then sweep (free needs quiescence).
+		// A couple of GC rounds: mark, then sweep.
 		e.CollectGarbage(1 << 20)
 		e.CollectGarbage(1 << 20)
 		// Revive: the key must be insertable and readable again.
@@ -139,8 +141,41 @@ func TestOrderedNodeRevival(t *testing.T) {
 	}
 }
 
+// TestOrderedNodesCollected: once GC rounds have swept a deleted key's node,
+// the engine keeps no reference to it, and the Go collector frees it.
+func TestOrderedNodesCollected(t *testing.T) {
+	e, tbl := churnEngine(t)
+	ix := tbl.Index(0).(*storage.OrderedIndex)
+	const keys = 256
+	nodes := make([]weak.Pointer[storage.Bucket], keys)
+	for k := range uint64(keys) {
+		insertKey(t, e, tbl, k)
+		nodes[k] = weak.Make(ix.Lookup(k)) // the bucket lives inside the node
+	}
+	for k := range uint64(keys) {
+		deleteKey(t, e, tbl, k)
+	}
+	for range 4 {
+		mustCommit(t, e.Begin(Optimistic, SnapshotIsolation))
+		e.CollectGarbage(1 << 20)
+	}
+	if n := e.Stats().IndexNodesSwept; n != keys {
+		t.Fatalf("swept %d nodes, want %d", n, keys)
+	}
+	runtime.GC()
+	live := 0
+	for _, w := range nodes {
+		if w.Value() != nil {
+			live++
+		}
+	}
+	if live != 0 {
+		t.Fatalf("%d of %d swept nodes survived a collection", live, keys)
+	}
+}
+
 // TestScanRangeReclaimChurnRace interleaves range cursors with concurrent
-// key deletion, reclamation, and revival; -race checks the sweep/free
+// key deletion, reclamation, and revival; -race checks the sweep's
 // publication protocol, and the assertions check cursor correctness
 // (ascending, in-range keys only).
 func TestScanRangeReclaimChurnRace(t *testing.T) {
@@ -363,4 +398,103 @@ func TestRangeLockPublicationRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPinOverflowCollect: with every reader-pin slot taken, read-only scans
+// cover themselves with a registered transaction instead, and node
+// reclamation stays safe (-race) and bounded under ordered
+// delete-and-reinsert churn and those concurrent range scans. GC rounds run
+// both cooperatively, every few transactions, and back to back from a
+// goroutine of their own.
+func TestPinOverflowCollect(t *testing.T) {
+	e := NewEngine(Config{DeadlockInterval: -1, GCEvery: 4})
+	defer e.Close()
+	tbl, err := e.CreateTable(storage.TableSpec{
+		Name:    "t",
+		Indexes: []storage.IndexSpec{{Name: "pk", Key: payloadKey, Ordered: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill the table with pins above any timestamp: every slot is taken,
+	// yet no pin holds the watermark back.
+	for i := e.pins.Slots(); i > 0; i-- {
+		if e.pins.Acquire(1<<62) < 0 {
+			t.Fatal("pin table full before every slot was taken")
+		}
+	}
+	const (
+		writers = 2
+		window  = 64 // live keys per writer
+		iters   = 1500
+	)
+	var fail, stop atomic.Bool
+	var wg, bg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters && !fail.Load(); i++ {
+				tx := e.Begin(Pessimistic, ReadCommitted)
+				if err := tx.Insert(tbl, testPayload(uint64(i*writers+w), 1)); err != nil {
+					tx.Abort()
+					continue
+				}
+				if i >= window {
+					if _, err := tx.DeleteWhere(tbl, 0, uint64((i-window)*writers+w), nil); err != nil {
+						tx.Abort()
+						continue
+					}
+				}
+				tx.Commit()
+			}
+		}(w)
+	}
+	bg.Add(2)
+	go func() {
+		defer bg.Done()
+		for !stop.Load() {
+			e.CollectGarbage(1 << 16)
+		}
+	}()
+	go func() {
+		defer bg.Done()
+		// At least one scan, so a read-only begin meets the full table even
+		// if the writers finish first.
+		for i := 0; i == 0 || !stop.Load() && !fail.Load(); i++ {
+			tx := e.BeginReadOnly()
+			prev := int64(-1)
+			err := tx.ScanRange(tbl, 0, 0, writers*iters, nil, func(v *storage.Version) bool {
+				k := int64(payloadKey(v.Payload()))
+				if k <= prev {
+					t.Errorf("scan yielded key %d after %d", k, prev)
+					fail.Store(true)
+					return false
+				}
+				prev = k
+				return true
+			})
+			if err != nil && !errors.Is(err, ErrAborted) {
+				t.Errorf("scan: %v", err)
+				fail.Store(true)
+			}
+			tx.Commit()
+		}
+	}()
+	wg.Wait()
+	stop.Store(true)
+	bg.Wait()
+	for range 4 {
+		mustCommit(t, e.Begin(Optimistic, SnapshotIsolation))
+		e.CollectGarbage(1 << 20)
+	}
+
+	if n := e.Stats().PinOverflows; n == 0 {
+		t.Fatal("PinOverflows = 0: read-only begins never overflowed the full pin table")
+	}
+	ix := tbl.Index(0).(*storage.OrderedIndex)
+	if keys := ix.Keys(); keys != writers*window {
+		t.Fatalf("Keys() = %d, want %d (the live windows)", keys, writers*window)
+	}
+	checkNodeAccounting(t, e, ix)
 }

@@ -12,8 +12,9 @@ const limboBatch = 32
 // each object is deferred with a stamp drawn after it became unreachable,
 // and is handed back once the owner's quiescence test passes that stamp —
 // no reader that could still hold it remains. It is the one such queue in
-// the engines: versions waiting for the GC watermark, finished transaction
-// objects, and unlinked skip-list nodes all wait here.
+// the engines: versions waiting for the GC watermark and finished
+// transaction objects wait here. Only objects that are reused need it;
+// unlinked skip-list nodes are left to the Go collector instead.
 //
 // Entries are kept in deferral order behind a head index, and the array is
 // compacted only occasionally, so neither Defer nor Drain shifts it per

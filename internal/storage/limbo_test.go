@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// always / never are quiescence predicates for single-threaded tests.
+func always(uint64) bool { return true }
+func never(uint64) bool  { return false }
+
 // drainAll drains l with quiesced and returns what it freed, in order.
 func drainAll(l *Limbo[int], quiesced func(uint64) bool, max int) []int {
 	var got []int

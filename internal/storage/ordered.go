@@ -21,10 +21,9 @@ package storage
 //     unlinks the last version of a key, Unlink marks the node logically
 //     deleted (under the bucket latch, so a concurrent Link cannot be
 //     stranded); the engine's GC round sweeps marked nodes out of the tower
-//     levels and defers the reset-and-reuse until the watermark proves no
-//     transaction that could hold the node remains (docs/indexes.md,
-//     "Node reclamation"). A cursor parked on a swept node keeps walking:
-//     dead nodes retain their outgoing pointers until quiescence.
+//     levels and leaves them to the Go collector (docs/indexes.md, "Node
+//     reclamation"). A cursor parked on a swept node keeps walking: dead
+//     nodes retain their outgoing pointers.
 //
 // Phantom protection cannot reuse bucket locks — a key never inserted has
 // no bucket to lock — so the index carries a RangeLockTable that
@@ -109,30 +108,14 @@ func (ix *OrderedIndex) Unlink(v *Version) {
 }
 
 // SweepNodes unlinks up to max marked (logically deleted) nodes from the
-// skip-list towers, stamping them with the caller's clock for deferred
-// freeing. stamp is drawn after the unlinks (see SkipList.SweepMarked for
-// why that ordering is load-bearing). The engine calls this from its GC
-// round.
-func (ix *OrderedIndex) SweepNodes(stamp func() uint64, max int) int {
-	return ix.list.SweepMarked(stamp, max)
-}
+// skip-list towers and returns how many it unlinked. The engine calls this
+// from its GC round.
+func (ix *OrderedIndex) SweepNodes(max int) int { return ix.list.SweepMarked(max) }
 
-// FreeNodes resets and pools dead nodes whose stamp quiesced approves (for
-// the multiversion engine: the GC watermark has passed the stamp). Pooled
-// nodes are reused by Link for new keys.
-func (ix *OrderedIndex) FreeNodes(quiesced func(stamp uint64) bool, max int) int {
-	return ix.list.FreeDead(quiesced, func(b *Bucket) {
-		b.head.Store(nil)
-		b.lockCount.Store(0)
-	}, max)
-}
-
-// NodeStats reports reclamation diagnostics: nodes awaiting sweep, unlinked
-// nodes awaiting quiescence, pooled nodes, and cumulative allocation/reuse
-// counters.
-func (ix *OrderedIndex) NodeStats() (marked, dead, pooled int, created, reused, freed uint64) {
-	return ix.list.MarkedLen(), ix.list.DeadLen(), ix.list.PoolLen(),
-		ix.list.Created(), ix.list.Reused(), ix.list.Freed()
+// NodeStats reports reclamation diagnostics: nodes awaiting sweep and the
+// cumulative count of nodes allocated.
+func (ix *OrderedIndex) NodeStats() (marked int, created uint64) {
+	return ix.list.MarkedLen(), ix.list.Created()
 }
 
 // ScanRange returns a cursor over the buckets with keys in [lo, hi]

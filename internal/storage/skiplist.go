@@ -12,10 +12,10 @@ import (
 const skipMaxLevel = 24
 
 // Node lifecycle states. A node is born live, is marked deleted when the last
-// entry of its value drains (the chain latch holder verifies emptiness), is
-// swept to dead when the reclaimer unlinks it from every tower level, and is
-// finally reset and pooled once the owner's quiescence mechanism proves no
-// reader can still hold a pointer to it.
+// entry of its value drains (the chain latch holder verifies emptiness), and
+// is swept to dead when the reclaimer unlinks it from every tower level. A
+// dead node is never reused: the Go collector frees it once no reader holds
+// a pointer to it.
 const (
 	nodeLive uint32 = iota
 	nodeDeleted
@@ -34,14 +34,13 @@ const (
 //
 // Nodes are reclaimed in stages (see the state constants) so the index's
 // footprint tracks live keys rather than every key ever inserted. A dead
-// node keeps its tower pointers intact until it is freed: a reader parked on
-// it can always continue the traversal into the live list. The key and value
-// are rewritten only after the list's owner proves quiescence, so lock-free
-// readers never observe a node changing identity under them.
+// node keeps its tower pointers intact: a reader parked on it can always
+// continue the traversal into the live list. Its key never changes, so
+// lock-free readers never observe a node changing identity under them.
 type SkipNode[V any] struct {
 	key    uint64
 	state  atomic.Uint32
-	height uint32 // tower levels; fixed at allocation, kept across reuse
+	height uint32 // tower levels; fixed at allocation
 	// V is the caller's per-key value, addressable via &n.V.
 	V     V
 	tower [1]atomic.Pointer[SkipNode[V]] // must stay last: levels ≥ 1 follow it
@@ -106,25 +105,20 @@ func newSkipNode[V any](height int) *SkipNode[V] {
 // off the steady-state update path, which only appends entries to an
 // existing node's value.
 //
-// Node reclamation (MarkDeleted / SweepMarked / FreeDead) lets the list
-// shrink when keys die: callers mark a node whose value drained, a periodic
-// sweep unlinks marked nodes from the towers under the insertion latch, and
-// quiesced dead nodes are reset and pooled for reuse by GetOrCreate. The
-// list is agnostic about what "quiesced" means — the multiversion engine
-// proves it with the GC watermark (no active transaction, fast-lane reader
-// or GC round pinned before the unlink), the single-version engine with an
-// explicit reader epoch (gc.Epoch). Both guarantee that no reader can still
-// hold a pointer to a node by the time it is reset.
+// Node reclamation (MarkDeleted / SweepMarked) lets the list shrink when
+// keys die: callers mark a node whose value drained, and a periodic sweep
+// unlinks marked nodes from the towers under the insertion latch. A swept
+// node is left to the Go collector rather than reused, so no reader needs
+// to announce itself: a pointer a reader still holds keeps the node, and
+// the dead nodes after it, alive.
 type SkipList[V any] struct {
 	// headNext is the sentinel tower: headNext[lvl] is the first node of
 	// level lvl.
 	headNext [skipMaxLevel]atomic.Pointer[SkipNode[V]]
-	// mu serializes structural changes: node insertion, tower unlink, and
-	// the reuse pool.
-	mu   sync.Mutex
-	rng  uint64 // xorshift64 state, guarded by mu
-	n    atomic.Int64
-	pool []*SkipNode[V] // quiesced nodes ready for reuse; guarded by mu
+	// mu serializes structural changes: node insertion and tower unlink.
+	mu  sync.Mutex
+	rng uint64 // xorshift64 state, guarded by mu
+	n   atomic.Int64
 	// sweep is SweepMarked's scratch batch, kept across rounds; guarded by mu.
 	sweep []*SkipNode[V]
 
@@ -132,13 +126,8 @@ type SkipList[V any] struct {
 	// chain latches) and is never held across node traversal.
 	reclaimMu sync.Mutex
 	marked    []*SkipNode[V] // logically deleted, still linked
-	// dead holds unlinked nodes until the owner's quiescence test passes
-	// their sweep stamp.
-	dead Limbo[*SkipNode[V]]
 
 	created atomic.Uint64
-	reused  atomic.Uint64
-	freed   atomic.Uint64
 }
 
 // Len returns the number of live keys in the list (logically deleted nodes
@@ -230,12 +219,12 @@ func (s *SkipList[V]) Seek(lo uint64) *SkipNode[V] {
 	return first
 }
 
-// GetOrCreate returns the node with key, linking a new (or pooled) one if
-// absent. The returned node may be in the logically deleted state if a
-// concurrent reclaimer marked it; callers that add entries must Revive it
-// under their chain synchronization and retry on failure (the node was
-// already unlinked, and the retry will create a fresh one).
-// A new node is one allocation (newSkipNode); a pooled one keeps its height.
+// GetOrCreate returns the node with key, linking a new one if absent. The
+// returned node may be in the logically deleted state if a concurrent
+// reclaimer marked it; callers that add entries must Revive it under their
+// chain synchronization and retry on failure (the node was already
+// unlinked, and the retry will create a fresh one). A new node is one
+// allocation (newSkipNode).
 func (s *SkipList[V]) GetOrCreate(key uint64) *SkipNode[V] {
 	if n := s.Get(key); n != nil {
 		return n
@@ -247,21 +236,9 @@ func (s *SkipList[V]) GetOrCreate(key uint64) *SkipNode[V] {
 	if n := s.nextAt(preds[0], 0).Load(); n != nil && n.key == key {
 		return n // lost the race to another creator
 	}
-	var n *SkipNode[V]
-	if k := len(s.pool); k > 0 {
-		// Reuse a quiesced node, keeping its tower height: heights were
-		// drawn from the same geometric distribution, so reuse preserves it.
-		n = s.pool[k-1]
-		s.pool[k-1] = nil
-		s.pool = s.pool[:k-1]
-		n.key = key
-		n.state.Store(nodeLive)
-		s.reused.Add(1)
-	} else {
-		n = newSkipNode[V](s.randomLevel())
-		n.key = key
-		s.created.Add(1)
-	}
+	n := newSkipNode[V](s.randomLevel())
+	n.key = key
+	s.created.Add(1)
 	// Point the new node at its successors before publishing it, then link
 	// bottom-up: a reader that finds the node at any level can always
 	// continue the descent through it.
@@ -317,19 +294,9 @@ func (s *SkipList[V]) Revive(n *SkipNode[V]) bool {
 }
 
 // SweepMarked unlinks up to max logically deleted nodes from every tower
-// level (under the insertion latch, so structure changes stay serialized)
-// and stamps them for deferred freeing. Marked nodes that were revived in
-// the meantime are skipped.
-//
-// stamp is DRAWN AFTER THE UNLINKS — that ordering is load-bearing, exactly
-// as for the version free list (gc.Collector stamps after Table.Unlink): a
-// reader that can still hold a pointer to a swept node must have loaded that
-// pointer before the unlink, hence before the stamp was drawn, hence its own
-// begin timestamp / epoch pin is below the stamp and blocks quiescence. A
-// stamp drawn before the unlink would let a reader slip in between — born
-// after the stamp, traversing while the unlink happens — and be invisible to
-// the quiescence test. The draw happens under the insertion latch, so
-// concurrent sweeps defer their nodes in stamp order.
+// level, under the insertion latch so structure changes stay serialized,
+// and returns how many it unlinked. Marked nodes that were revived in the
+// meantime are skipped.
 //
 // A swept node keeps its outgoing tower pointers: a reader parked on it
 // mid-scan continues into nodes that were its successors at unlink time
@@ -337,7 +304,7 @@ func (s *SkipList[V]) Revive(n *SkipNode[V]) bool {
 // live list). Such a reader may miss keys inserted after the unlink — the
 // same "concurrent inserts may or may not be observed" contract a live
 // cursor already has.
-func (s *SkipList[V]) SweepMarked(stamp func() uint64, max int) int {
+func (s *SkipList[V]) SweepMarked(max int) int {
 	if max <= 0 {
 		max = 1 << 30
 	}
@@ -360,7 +327,7 @@ func (s *SkipList[V]) SweepMarked(stamp func() uint64, max int) int {
 	s.marked = s.marked[:m]
 	s.reclaimMu.Unlock()
 
-	swept := batch[:0]
+	swept := 0
 	var preds [skipMaxLevel]*SkipNode[V]
 	for _, n := range batch {
 		if !n.state.CompareAndSwap(nodeDeleted, nodeDead) {
@@ -373,42 +340,11 @@ func (s *SkipList[V]) SweepMarked(stamp func() uint64, max int) int {
 				p.Store(n.level(lvl).Load())
 			}
 		}
-		swept = append(swept, n)
-	}
-	if len(swept) > 0 {
-		st := stamp() // after every unlink above; see the contract in the doc comment
-		for _, n := range swept {
-			s.dead.Defer(n, st)
-		}
+		swept++
 	}
 	clear(batch)
 	s.sweep = batch[:0]
-	return len(swept)
-}
-
-// FreeDead resets and pools up to max dead nodes whose stamp the quiesced
-// predicate approves. quiesced is called after the sweep that produced the
-// entry (so its loads are ordered after the unlink stores): returning true
-// asserts that no reader pinned or begun before the stamp remains, hence no
-// pointer to the node survives anywhere. reset clears the node's embedded
-// value; the key and exactly height tower levels are cleared here so pooled
-// nodes retain no references into the list. The height itself is kept: it
-// sizes the node's allocation.
-func (s *SkipList[V]) FreeDead(quiesced func(stamp uint64) bool, reset func(*V), max int) int {
-	k := s.dead.Drain(quiesced, max, func(n *SkipNode[V]) {
-		if reset != nil {
-			reset(&n.V)
-		}
-		for i := 0; i < int(n.height); i++ {
-			n.level(i).Store(nil)
-		}
-		n.key = 0
-		s.mu.Lock()
-		s.pool = append(s.pool, n)
-		s.mu.Unlock()
-	})
-	s.freed.Add(uint64(k))
-	return k
+	return swept
 }
 
 // MarkedLen returns the number of nodes awaiting sweep (diagnostics).
@@ -418,25 +354,8 @@ func (s *SkipList[V]) MarkedLen() int {
 	return len(s.marked)
 }
 
-// DeadLen returns the number of unlinked nodes awaiting quiescence.
-func (s *SkipList[V]) DeadLen() int { return s.dead.Len() }
-
-// PoolLen returns the number of quiesced nodes ready for reuse.
-func (s *SkipList[V]) PoolLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pool)
-}
-
 // Created returns the cumulative count of nodes allocated from the heap.
 func (s *SkipList[V]) Created() uint64 { return s.created.Load() }
-
-// Reused returns the cumulative count of GetOrCreate calls served from the
-// reuse pool.
-func (s *SkipList[V]) Reused() uint64 { return s.reused.Load() }
-
-// Freed returns the cumulative count of nodes reset and pooled.
-func (s *SkipList[V]) Freed() uint64 { return s.freed.Load() }
 
 // randomLevel draws a tower height with P(level > k) = 2^-k; mu is held.
 func (s *SkipList[V]) randomLevel() int {

@@ -88,9 +88,21 @@ func checkSkipStructure(t *testing.T, s *SkipList[int]) [skipMaxLevel]map[*SkipN
 	return onLevel
 }
 
+// seedHeight sets s's generator so that the next node it links is h levels
+// tall.
+func seedHeight[V any](s *SkipList[V], h int) {
+	for seed := uint64(1); ; seed++ {
+		s.rng = seed
+		if s.randomLevel() == h {
+			s.rng = seed
+			return
+		}
+	}
+}
+
 // TestSkipListEveryHeight runs a node of each height 1..skipMaxLevel, and so
 // every height-class boundary, through its whole lifecycle: link, lookups
-// that descend through each of its levels, mark, sweep, free, and reuse.
+// that descend through each of its levels, mark and sweep.
 func TestSkipListEveryHeight(t *testing.T) {
 	for h := 1; h <= skipMaxLevel; h++ {
 		var s SkipList[int]
@@ -99,13 +111,12 @@ func TestSkipListEveryHeight(t *testing.T) {
 			s.GetOrCreate(k)
 			background = append(background, k)
 		}
-		// Pool a node of height h: GetOrCreate links it as it would a
-		// reused one. Key 1 is the smallest, so every lookup of a larger
-		// key steps from the head onto it and reads each of its levels.
-		tall := newSkipNode[int](h)
-		s.pool = append(s.pool, tall)
-		if n := s.GetOrCreate(1); n != tall || int(n.height) != h {
-			t.Fatalf("h=%d: GetOrCreate linked %p (height %d), want the pooled node", h, n, n.height)
+		// Key 1 is the smallest, so every lookup of a larger key steps from
+		// the head onto it and reads each of its levels.
+		seedHeight(&s, h)
+		tall := s.GetOrCreate(1)
+		if int(tall.height) != h {
+			t.Fatalf("h=%d: GetOrCreate linked a node of height %d", h, tall.height)
 		}
 		onLevel := checkSkipStructure(t, &s)
 		for lvl := 0; lvl < skipMaxLevel; lvl++ {
@@ -127,8 +138,12 @@ func TestSkipListEveryHeight(t *testing.T) {
 
 		// Mark and sweep: unlinked from every level, its own tower intact
 		// for a reader parked on it.
+		tower := make([]*SkipNode[int], h)
+		for i := range tower {
+			tower[i] = tall.level(i).Load()
+		}
 		s.MarkDeleted(tall)
-		if swept := s.SweepMarked(stampOf(1), 0); swept != 1 {
+		if swept := s.SweepMarked(0); swept != 1 {
 			t.Fatalf("h=%d: swept %d nodes, want 1", h, swept)
 		}
 		onLevel = checkSkipStructure(t, &s)
@@ -140,35 +155,13 @@ func TestSkipListEveryHeight(t *testing.T) {
 		if s.Get(1) != nil || s.Seek(0).Key() != 10 || tall.Next().Key() != 10 {
 			t.Fatalf("h=%d: after sweep Get(1)=%v Seek(0)=%d Next=%v", h, s.Get(1), s.Seek(0).Key(), tall.Next())
 		}
-
-		// Free: height kept, every level cleared.
-		if freed := s.FreeDead(always, func(v *int) { *v = 0 }, 0); freed != 1 {
-			t.Fatalf("h=%d: freed %d nodes, want 1", h, freed)
-		}
-		if int(tall.height) != h || tall.key != 0 {
-			t.Fatalf("h=%d: pooled node has height %d key %d", h, tall.height, tall.key)
-		}
-		for i := 0; i < h; i++ {
-			if tall.level(i).Load() != nil {
-				t.Fatalf("h=%d: pooled node keeps level %d", h, i)
+		for i := range tower {
+			if tall.level(i).Load() != tower[i] {
+				t.Fatalf("h=%d: the sweep rewrote the swept node's level %d", h, i)
 			}
 		}
-
-		// Reuse in the middle of the list, with the same height.
-		if n := s.GetOrCreate(1005); n != tall || int(n.height) != h {
-			t.Fatalf("h=%d: reuse linked %p (height %d), want the pooled node", h, n, n.height)
-		}
-		onLevel = checkSkipStructure(t, &s)
-		for lvl := 0; lvl < skipMaxLevel; lvl++ {
-			if onLevel[lvl][tall] != (lvl < h) {
-				t.Fatalf("h=%d: reused node on level %d = %v", h, lvl, onLevel[lvl][tall])
-			}
-		}
-		if s.Get(1005) != tall || s.Seek(1001) != tall || tall.Next().Key() != 1010 {
-			t.Fatalf("h=%d: Get/Seek miss the reused node", h)
-		}
-		if s.Created() != uint64(len(background)) || s.Reused() != 2 {
-			t.Fatalf("h=%d: created %d reused %d", h, s.Created(), s.Reused())
+		if s.Created() != uint64(len(background))+1 {
+			t.Fatalf("h=%d: created %d", h, s.Created())
 		}
 	}
 }

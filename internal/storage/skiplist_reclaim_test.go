@@ -1,16 +1,11 @@
 package storage
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 )
-
-// always / never are quiescence predicates for single-threaded tests.
-func always(uint64) bool { return true }
-
-// stampOf adapts a fixed value to the stamp-drawing callback.
-func stampOf(v uint64) func() uint64 { return func() uint64 { return v } }
-func never(uint64) bool              { return false }
 
 func listKeys[V any](s *SkipList[V]) []uint64 {
 	var keys []uint64
@@ -49,7 +44,7 @@ func TestSkipListMarkSweepFree(t *testing.T) {
 	}
 
 	// Sweep: evens unlink; the revived key-1 entry is skipped.
-	if swept := s.SweepMarked(stampOf(7), 0); swept != 5 {
+	if swept := s.SweepMarked(0); swept != 5 {
 		t.Fatalf("swept %d nodes, want 5", swept)
 	}
 	keys := listKeys(&s)
@@ -62,38 +57,20 @@ func TestSkipListMarkSweepFree(t *testing.T) {
 			t.Fatalf("keys after sweep = %v, want %v", keys, want)
 		}
 	}
-	if s.Get(4) != nil {
-		t.Fatal("Get found a swept node")
-	}
-	if s.DeadLen() != 5 {
-		t.Fatalf("DeadLen = %d, want 5", s.DeadLen())
+	if s.Get(4) != nil || s.MarkedLen() != 0 {
+		t.Fatalf("after sweep Get(4) = %v, MarkedLen = %d", s.Get(4), s.MarkedLen())
 	}
 
-	// Free gated on quiescence.
-	if n := s.FreeDead(never, nil, 0); n != 0 {
-		t.Fatalf("FreeDead(never) freed %d", n)
-	}
-	resets := 0
-	if n := s.FreeDead(always, func(v *int) { *v = 0; resets++ }, 0); n != 5 {
-		t.Fatalf("FreeDead(always) freed %d, want 5", n)
-	}
-	if resets != 5 || s.PoolLen() != 5 || s.DeadLen() != 0 {
-		t.Fatalf("resets=%d pool=%d dead=%d, want 5/5/0", resets, s.PoolLen(), s.DeadLen())
-	}
-
-	// New keys reuse pooled nodes.
+	// New keys, and the swept keys again, get fresh nodes: a swept node is
+	// never handed out a second time.
 	createdBefore := s.Created()
-	for k := uint64(100); k < 105; k++ {
-		n := s.GetOrCreate(k)
-		if n.Key() != k {
-			t.Fatalf("reused node has key %d, want %d", n.Key(), k)
+	for _, k := range []uint64{100, 101, 102, 4, 6} {
+		if n := s.GetOrCreate(k); n.Key() != k || !s.Revive(n) {
+			t.Fatalf("GetOrCreate(%d) returned key %d", k, n.Key())
 		}
 	}
-	if s.Created() != createdBefore {
-		t.Fatalf("allocated %d new nodes with a full pool", s.Created()-createdBefore)
-	}
-	if s.Reused() != 5 || s.PoolLen() != 0 {
-		t.Fatalf("Reused=%d PoolLen=%d, want 5/0", s.Reused(), s.PoolLen())
+	if c := s.Created() - createdBefore; c != 5 {
+		t.Fatalf("created %d nodes for 5 new keys, want 5", c)
 	}
 	if s.Len() != 10 {
 		t.Fatalf("Len = %d, want 10", s.Len())
@@ -104,7 +81,7 @@ func TestSkipListReviveAfterSweepFails(t *testing.T) {
 	var s SkipList[int]
 	n := s.GetOrCreate(7)
 	s.MarkDeleted(n)
-	s.SweepMarked(stampOf(1), 0)
+	s.SweepMarked(0)
 	if s.Revive(n) {
 		t.Fatal("Revive succeeded on a dead node")
 	}
@@ -118,18 +95,78 @@ func TestSkipListReviveAfterSweepFails(t *testing.T) {
 	}
 }
 
+// markAndWatch marks the node of every key in keys deleted and returns weak
+// pointers to them, so the caller holds no strong reference to the nodes.
+func markAndWatch[V any](s *SkipList[V], keys []uint64) []weak.Pointer[SkipNode[V]] {
+	ws := make([]weak.Pointer[SkipNode[V]], len(keys))
+	for i, k := range keys {
+		n := s.Get(k)
+		s.MarkDeleted(n)
+		ws[i] = weak.Make(n)
+	}
+	return ws
+}
+
+// countLive returns how many of ws still point at an object.
+func countLive[T any](ws []weak.Pointer[T]) int {
+	live := 0
+	for _, w := range ws {
+		if w.Value() != nil {
+			live++
+		}
+	}
+	return live
+}
+
+// TestSkipListSweptNodesCollected checks that the list keeps no reference to
+// a node once it is swept: with no reader holding one, every swept node is
+// garbage at the next collection, while the nodes still linked survive.
+func TestSkipListSweptNodesCollected(t *testing.T) {
+	var s SkipList[int]
+	var odd, even []uint64
+	for k := uint64(0); k < 512; k++ {
+		s.GetOrCreate(k)
+		if k%2 == 1 {
+			odd = append(odd, k)
+		} else {
+			even = append(even, k)
+		}
+	}
+	swept := markAndWatch(&s, odd)
+	linked := make([]weak.Pointer[SkipNode[int]], len(even))
+	for i, k := range even {
+		linked[i] = weak.Make(s.Get(k))
+	}
+	if n := s.SweepMarked(0); n != len(odd) {
+		t.Fatalf("swept %d nodes, want %d", n, len(odd))
+	}
+	runtime.GC()
+	if live := countLive(swept); live != 0 {
+		t.Fatalf("%d of %d swept nodes survived a collection", live, len(swept))
+	}
+	if live := countLive(linked); live != len(linked) {
+		t.Fatalf("%d of %d linked nodes survived a collection", live, len(linked))
+	}
+	runtime.KeepAlive(&s)
+}
+
 // TestSkipListCursorSurvivesSweep checks the parked-reader contract: a node
-// that is swept while a reader holds it keeps its outgoing pointers, so the
-// walk continues into (what were) its successors.
+// that is swept while a reader holds it keeps its outgoing pointers, and the
+// reader's pointer alone keeps it and the dead nodes after it alive, so the
+// walk continues into (what were) its successors. Once the reader lets go,
+// the nodes are garbage.
 func TestSkipListCursorSurvivesSweep(t *testing.T) {
 	var s SkipList[int]
 	for k := uint64(0); k < 10; k++ {
 		s.GetOrCreate(k)
 	}
 	cur := s.Get(4) // reader parks here
-	s.MarkDeleted(s.Get(4))
-	s.MarkDeleted(s.Get(5))
-	s.SweepMarked(stampOf(1), 0)
+	dead := markAndWatch(&s, []uint64{4, 5})
+	s.SweepMarked(0)
+	runtime.GC()
+	if live := countLive(dead); live != 2 {
+		t.Fatalf("%d of the 2 swept nodes a parked reader reaches survived a collection", live)
+	}
 	// The parked reader continues: 4 -> 5 (dead, pointers intact) -> 6 ...
 	var walked []uint64
 	for n := cur.Next(); n != nil; n = n.Next() {
@@ -144,11 +181,17 @@ func TestSkipListCursorSurvivesSweep(t *testing.T) {
 			t.Fatalf("walk from swept node = %v, want %v", walked, want)
 		}
 	}
+	cur = nil
+	runtime.GC()
+	if live := countLive(dead); live != 0 {
+		t.Fatalf("%d swept nodes survived the reader", live)
+	}
+	runtime.KeepAlive(&s)
 }
 
 // TestSkipListChurnBounded cycles a shifting key domain through
-// insert/mark/sweep/free and asserts the physical node population stays
-// O(live window), not O(keys ever inserted).
+// insert/mark/sweep and asserts the linked node population stays O(live
+// window), not O(keys ever inserted).
 func TestSkipListChurnBounded(t *testing.T) {
 	var s SkipList[int]
 	const (
@@ -165,12 +208,10 @@ func TestSkipListChurnBounded(t *testing.T) {
 			}
 		}
 		if i%128 == 0 {
-			s.SweepMarked(stampOf(uint64(i)), 0)
-			s.FreeDead(always, func(v *int) { *v = 0 }, 0)
+			s.SweepMarked(0)
 		}
 	}
-	s.SweepMarked(stampOf(total), 0)
-	s.FreeDead(always, nil, 0)
+	s.SweepMarked(0)
 	if s.Len() != window {
 		t.Fatalf("Len = %d, want %d", s.Len(), window)
 	}
@@ -178,36 +219,28 @@ func TestSkipListChurnBounded(t *testing.T) {
 	if phys != window {
 		t.Fatalf("%d nodes physically linked, want %d", phys, window)
 	}
-	// Node reuse must make heap allocation O(window), not O(total).
-	if c := s.Created(); c > 4*window {
-		t.Fatalf("allocated %d nodes for a %d-key window over %d inserts", c, window, total)
+	if m := s.MarkedLen(); m != 0 {
+		t.Fatalf("%d marked nodes left after the final sweep", m)
 	}
-	if s.Reused() == 0 {
-		t.Fatal("pool was never reused")
-	}
-	if d, p := s.DeadLen(), s.PoolLen(); d+p > 4*window {
-		t.Fatalf("dead=%d pooled=%d nodes retained, want O(window)", d, p)
+	if c := s.Created(); c != total {
+		t.Fatalf("created %d nodes for %d new keys", c, total)
 	}
 }
 
 // TestSkipListConcurrentReclaim hammers creators, lock-free readers, and a
-// reclaimer whose quiescence predicate is wired to the readers' actual
-// lifetimes via a reader count (a stand-in for the engines' watermark/epoch
-// mechanisms); -race checks the publication and reset protocols.
+// reclaimer that marks and sweeps while they run; -race checks the
+// publication and unlink protocols.
 func TestSkipListConcurrentReclaim(t *testing.T) {
 	var s SkipList[uint64]
-	var readers sync.WaitGroup
-	var mu sync.Mutex // serializes mark/sweep/free (the engines' chain latches)
+	var mu sync.Mutex // serializes mark/revive (the engines' chain latches)
 	const keys = 256
 
 	stop := make(chan struct{})
-	// Reclaimer: marks a sliding band of keys, sweeps, frees only while no
-	// reader is running (crude but correct quiescence).
+	// Reclaimer: marks a sliding band of keys and sweeps.
 	var reclaim sync.WaitGroup
 	reclaim.Add(1)
 	go func() {
 		defer reclaim.Done()
-		stamp := uint64(0)
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -219,8 +252,7 @@ func TestSkipListConcurrentReclaim(t *testing.T) {
 			if n := s.Get(k); n != nil {
 				s.MarkDeleted(n)
 			}
-			stamp++
-			s.SweepMarked(func() uint64 { stamp++; return stamp }, 8)
+			s.SweepMarked(8)
 			mu.Unlock()
 		}
 	}()
@@ -236,7 +268,6 @@ func TestSkipListConcurrentReclaim(t *testing.T) {
 				x ^= x >> 7
 				x ^= x << 17
 				k := x % keys
-				readers.Add(1)
 				// Creator path: GetOrCreate + Revive under the "latch".
 				mu.Lock()
 				for {
@@ -254,15 +285,12 @@ func TestSkipListConcurrentReclaim(t *testing.T) {
 				for n := s.Seek(x % keys); n != nil && prev < int64(n.Key()); n = n.Next() {
 					prev = int64(n.Key())
 				}
-				readers.Done()
 			}
 		}(uint64(w))
 	}
 	wg.Wait()
 	close(stop)
 	reclaim.Wait()
-	// All readers done: everything dead is quiescent now.
-	s.FreeDead(always, func(v *uint64) { *v = 0 }, 0)
 	// Structure must still be sorted and duplicate-free.
 	seen := make(map[uint64]bool)
 	prev := int64(-1)
@@ -278,35 +306,28 @@ func TestSkipListConcurrentReclaim(t *testing.T) {
 	}
 }
 
-// TestSkipListReclaimRoundAllocs: once warmed, a reclamation round — 32 keys
-// created from the reuse pool, marked, swept and freed back to the pool —
-// allocates nothing. The sweep batch is a scratch slice kept under the
-// insertion latch, and the dead nodes wait in a Limbo whose drain copies
-// nothing out.
+// TestSkipListReclaimRoundAllocs: once warmed, a reclamation round — 32 new
+// keys created, marked and swept — allocates exactly the 32 nodes and
+// nothing else. The marked queue and the sweep batch are kept across rounds.
 func TestSkipListReclaimRoundAllocs(t *testing.T) {
 	var s SkipList[int]
 	for k := uint64(0); k < 256; k += 2 {
 		s.GetOrCreate(k) // live neighbours for the sweep's descents
 	}
-	var stamp uint64
-	next := func() uint64 { stamp++; return stamp }
 	round := func() {
 		for k := uint64(1); k < 64; k += 2 {
 			n := s.GetOrCreate(k)
 			s.Revive(n)
 			s.MarkDeleted(n)
 		}
-		if n := s.SweepMarked(next, 0); n != 32 {
+		if n := s.SweepMarked(0); n != 32 {
 			t.Fatalf("swept %d, want 32", n)
-		}
-		if n := s.FreeDead(always, func(v *int) { *v = 0 }, 0); n != 32 {
-			t.Fatalf("freed %d, want 32", n)
 		}
 	}
 	for range 4 {
 		round()
 	}
-	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-		t.Fatalf("%.1f allocations per warmed reclaim round, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, round); allocs != 32 {
+		t.Fatalf("%.1f allocations per warmed reclaim round, want 32 (the nodes)", allocs)
 	}
 }

@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 // Regression tests for the lookup TOCTOU found by the multi-table soak
 // harness: Get and Seek used to re-load the predecessor's level-0 pointer
@@ -14,14 +11,12 @@ import (
 // successor observed during the walk itself.
 
 // churnNeighbor creates and reclaims key k in a tight loop, rewriting the
-// level-0 pointer of k's predecessor on every round. The nodes are swept but
-// never freed, so readers need no epoch protection here.
-func churnNeighbor(s *SkipList[int], k uint64, rounds int, clock *atomic.Uint64) {
-	stamp := func() uint64 { return clock.Add(1) }
+// level-0 pointer of k's predecessor on every round.
+func churnNeighbor(s *SkipList[int], k uint64, rounds int) {
 	for i := 0; i < rounds; i++ {
 		n := s.GetOrCreate(k)
 		s.MarkDeleted(n)
-		s.SweepMarked(stamp, 0)
+		s.SweepMarked(0)
 	}
 }
 
@@ -36,11 +31,10 @@ func TestSkipListGetSurvivesNeighborInsert(t *testing.T) {
 	if testing.Short() {
 		rounds = 20000
 	}
-	var clock atomic.Uint64
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		churnNeighbor(&s, target-1, rounds, &clock)
+		churnNeighbor(&s, target-1, rounds)
 	}()
 
 	misses := 0
@@ -70,11 +64,10 @@ func TestSkipListSeekHonorsLowerBound(t *testing.T) {
 	if testing.Short() {
 		rounds = 20000
 	}
-	var clock atomic.Uint64
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		churnNeighbor(&s, lo-1, rounds, &clock)
+		churnNeighbor(&s, lo-1, rounds)
 	}()
 
 	below := 0

@@ -94,10 +94,9 @@ type Index interface {
 // like new versions appearing in a hash bucket mid-scan — transactional
 // consistency comes from the layers above (visibility, validation, locks),
 // not the cursor. A cursor parked on a node the reclaimer has since swept
-// keeps walking through the node's retained tower pointers; the node itself
-// is not reset until the owning engine proves the cursor's holder has
-// finished (MV: the GC watermark; 1V: the reader epoch — see
-// docs/indexes.md, "Node reclamation").
+// keeps walking through the node's retained tower pointers; the node is
+// never reused, and the cursor's pointer keeps it alive (docs/indexes.md,
+// "Node reclamation").
 type RangeCursor struct {
 	node *SkipNode[Bucket]
 	hi   uint64

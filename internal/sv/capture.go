@@ -54,16 +54,11 @@ func (e *Engine) Capture(tables []*Table, fn func(t *Table, key uint64, payload 
 			if err := tx.lockRange(&ix.rl, 0, ^uint64(0), false); err != nil {
 				return 0, err
 			}
-			// Pin the reader epoch for the node walk, as ScanRange does: the
-			// range lock stops writers, but node sweeping is asynchronous.
-			slot := ix.ep.Enter()
 			for n := ix.list.Seek(0); n != nil; n = n.Next() {
 				if err := emitChain(n.V.head); err != nil {
-					ix.ep.Exit(slot)
 					return 0, err
 				}
 			}
-			ix.ep.Exit(slot)
 		}
 	}
 	// All locks are held: no writer is between its end-sequence draw and its

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/gc"
 	"repro/internal/storage"
 	"repro/internal/ts"
 	"repro/internal/wal"
@@ -41,9 +40,6 @@ type Stats struct {
 	// IndexNodesSwept counts ordered-index skip-list nodes unlinked after
 	// their record chain drained.
 	IndexNodesSwept uint64
-	// IndexNodesFreed counts swept nodes that passed epoch quiescence and
-	// were reset into the node reuse pool.
-	IndexNodesFreed uint64
 }
 
 // Engine is the single-version locking storage engine ("1V").
@@ -57,11 +53,6 @@ type Engine struct {
 	tablesMu sync.RWMutex
 	tables   map[string]*Table
 
-	// nodeEpoch is the reader epoch guarding ordered-index node reuse: the
-	// 1V engine has no timestamps, so every skip-list traversal (scans,
-	// link/unlink) pins it, and a swept node is reset only once every pin
-	// published at or before its unlink has exited. See gc.Epoch.
-	nodeEpoch    gc.Epoch
 	sinceReclaim atomic.Int64
 
 	// txPool recycles Tx objects and their bookkeeping slices. A finished
@@ -75,7 +66,6 @@ type Engine struct {
 	roBegins    atomic.Uint64
 	fastCommits atomic.Uint64
 	nodesSwept  atomic.Uint64
-	nodesFreed  atomic.Uint64
 }
 
 // NewEngine constructs a single-version engine.
@@ -91,7 +81,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	e := &Engine{cfg: cfg, tables: make(map[string]*Table)}
 	e.txPool.New = func() any { return &Tx{e: e} }
-	e.nodeEpoch.Init(0)
 	return e
 }
 
@@ -112,7 +101,6 @@ func (e *Engine) Stats() Stats {
 		ReadOnlyBegins:  e.roBegins.Load(),
 		FastCommits:     e.fastCommits.Load(),
 		IndexNodesSwept: e.nodesSwept.Load(),
-		IndexNodesFreed: e.nodesFreed.Load(),
 	}
 }
 
@@ -122,10 +110,6 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) Counters() (txSeq, endSeq uint64) {
 	return e.txSeq.Load(), e.endSeq.Current()
 }
-
-// PinTableOverflows reports how many node-epoch pin acquisitions found every
-// reader-pin slot occupied (each such entry took the slow registered path).
-func (e *Engine) PinTableOverflows() uint64 { return e.nodeEpoch.Overflows() }
 
 // Table is a single-version table: records linked into one chain per index
 // key (hash bucket or skip-list node), with the lock machinery embedded in
@@ -180,17 +164,15 @@ type bucket struct {
 //
 // Node lifecycle: unlink marks a node whose chain drained (the caller holds
 // the X point cover, which serializes against link for the same key); the
-// engine's cooperative reclaim round sweeps marked nodes and frees them
-// once the reader epoch quiesces. Every traversal of the list — scans and
-// link/unlink alike — pins the engine's nodeEpoch (ep), because record
-// chains and node keys are plain fields whose reuse must be ordered after
-// every reader that could reach the node.
+// engine's cooperative reclaim round sweeps marked nodes out of the list
+// and leaves them to the Go collector. Nodes are never reused, so a
+// traversal needs no protection beyond the range lock that covers the
+// chains it reads.
 type orderedIndex struct {
 	ord  int
 	spec storage.IndexSpec
 	list storage.SkipList[recordChain]
 	rl   storage.RangeLockTable
-	ep   *gc.Epoch
 }
 
 // recordChain is an ordered-index node value: the head of the key's record
@@ -295,7 +277,6 @@ func (ix *orderedIndex) keyOf(p []byte) uint64 { return ix.spec.Key(p) }
 // the emptiness check in unlink; the Revive CAS arbitrates only against the
 // asynchronous sweeper.
 func (ix *orderedIndex) link(r *Record) {
-	slot := ix.ep.Enter()
 	l := r.link(ix.ord)
 	for {
 		n := ix.list.GetOrCreate(l.key)
@@ -304,16 +285,13 @@ func (ix *orderedIndex) link(r *Record) {
 		}
 		l.next = n.V.head
 		n.V.head = r
-		break
+		return
 	}
-	ix.ep.Exit(slot)
 }
 
 // unlink removes r from its key's chain and marks the node for reclamation
 // when the chain drains. The caller holds the X point cover.
 func (ix *orderedIndex) unlink(r *Record, key uint64) {
-	slot := ix.ep.Enter()
-	defer ix.ep.Exit(slot)
 	n := ix.list.Get(key)
 	if n == nil {
 		return
@@ -335,7 +313,7 @@ func (e *Engine) CreateTable(spec storage.TableSpec) (*Table, error) {
 			return nil, fmt.Errorf("sv: table %q index %q has no key function", spec.Name, is.Name)
 		}
 		if is.Ordered {
-			t.indexes = append(t.indexes, &orderedIndex{ord: ord, spec: is, ep: &e.nodeEpoch})
+			t.indexes = append(t.indexes, &orderedIndex{ord: ord, spec: is})
 			t.hashIxs = append(t.hashIxs, nil)
 			continue
 		}
@@ -374,11 +352,11 @@ func (e *Engine) maybeReclaim() {
 	}
 }
 
-// ReclaimNodes sweeps marked ordered-index nodes out of their skip lists
-// and frees swept nodes the reader epoch has quiesced, up to limit of each
-// per index. It returns the counts. Safe for concurrent use; normally driven
+// ReclaimNodes sweeps up to limit marked ordered-index nodes per index out
+// of their skip lists and returns how many it swept. A swept node is left
+// to the Go collector. Safe for concurrent use; normally driven
 // cooperatively from Commit/Abort.
-func (e *Engine) ReclaimNodes(limit int) (swept, freed int) {
+func (e *Engine) ReclaimNodes(limit int) (swept int) {
 	e.tablesMu.RLock()
 	defer e.tablesMu.RUnlock()
 	for _, t := range e.tables {
@@ -387,20 +365,13 @@ func (e *Engine) ReclaimNodes(limit int) (swept, freed int) {
 			if !ok {
 				continue
 			}
-			if n := oix.list.SweepMarked(e.nodeEpoch.Stamp, limit); n > 0 {
-				swept += n
-			}
-			n := oix.list.FreeDead(e.nodeEpoch.Quiesced, func(c *recordChain) { c.head = nil }, limit)
-			freed += n
+			swept += oix.list.SweepMarked(limit)
 		}
 	}
 	if swept > 0 {
 		e.nodesSwept.Add(uint64(swept))
 	}
-	if freed > 0 {
-		e.nodesFreed.Add(uint64(freed))
-	}
-	return swept, freed
+	return swept
 }
 
 // LoadRow inserts a record without locking. Single-threaded bulk load only.

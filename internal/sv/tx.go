@@ -301,10 +301,6 @@ func (tx *Tx) Scan(t *Table, indexOrd int, key uint64, pred Pred, fn func(*Recor
 			return err
 		}
 	}
-	// Pin the reader epoch across the traversal so the node (and its chain)
-	// cannot be reset by the reclaimer while we hold pointers into it.
-	slot := ix.ep.Enter()
-	defer ix.ep.Exit(slot)
 	n := ix.list.Get(key)
 	if n == nil {
 		return nil
@@ -359,11 +355,8 @@ func (tx *Tx) ScanRange(t *Table, indexOrd int, lo, hi uint64, pred Pred, fn fun
 			return err
 		}
 	}
-	// Pin the reader epoch for the duration of the cursor walk: swept nodes
-	// keep their outgoing pointers until quiescence, so a cursor parked on
-	// one continues into the live list; the pin is what defers the reset.
-	slot := ix.ep.Enter()
-	defer ix.ep.Exit(slot)
+	// Swept nodes keep their outgoing pointers, so a cursor parked on one
+	// continues into the live list.
 	for n := ix.list.Seek(lo); n != nil && n.Key() <= hi; n = n.Next() {
 		for r := n.V.head; r != nil; r = r.link(indexOrd).next {
 			if r.deleted {
@@ -556,11 +549,9 @@ func (tx *Tx) collectMatches(t *Table, indexOrd int, key uint64, pred Pred) ([]*
 		if err := tx.lockRange(&ix.rl, key, key, false); err != nil {
 			return nil, err
 		}
-		slot := ix.ep.Enter()
 		if n := ix.list.Get(key); n != nil {
 			head = n.V.head
 		}
-		defer ix.ep.Exit(slot)
 	}
 	// Detach the buffer while the caller iterates the result: a mut that
 	// re-enters the Tx must not append into it. putTargets reattaches it.
