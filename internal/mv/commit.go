@@ -385,6 +385,12 @@ func (tx *Tx) rescan(sc *scanRecord, end uint64) error {
 			return nil
 		}
 		bw := v.Begin()
+		if field.IsTS(bw) && field.TS(bw) <= tx.T.Begin() {
+			// Committed by our begin: its valid interval starts before
+			// both read times, so visible at end implies visible at begin,
+			// whatever a writer in flight does to its End word.
+			return nil
+		}
 		if !field.IsTS(bw) && field.TxID(bw) == tx.T.ID() {
 			return nil // our own creation is not a phantom
 		}

@@ -10,6 +10,11 @@ package mv
 
 import (
 	"testing"
+	"time"
+
+	"repro/internal/storage"
+	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 func TestFigure3V1StableReadPasses(t *testing.T) {
@@ -156,5 +161,80 @@ func TestValidationSurvivesAbortedUpdater(t *testing.T) {
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("commit = %v, want success after updater aborted", err)
+	}
+}
+
+// TestRescanSkipsPreBeginRows: rows committed before T began cannot be
+// phantoms, so the rescan passes them without consulting their End words —
+// even when an active updater holds one and a preparing deleter, whose end
+// timestamp precedes T's, holds another. The old double visibility test
+// took a commit dependency on the preparing writer (a speculative ignore)
+// and made T's commit wait for it.
+func TestRescanSkipsPreBeginRows(t *testing.T) {
+	gate := newGateWriter()
+	log := wal.Open(wal.Config{Sink: gate, Durability: wal.Flush, BatchSize: 1})
+	e := NewEngine(Config{DeadlockInterval: -1, Log: log})
+	t.Cleanup(func() {
+		gate.Release()
+		e.Close()
+	})
+	tbl, err := e.CreateTable(storage.TableSpec{
+		Name:    "t",
+		Indexes: []storage.IndexSpec{{Name: "pk", Key: payloadKey, Ordered: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 10; k++ {
+		e.LoadRow(tbl, testPayload(k, k))
+	}
+
+	// T scans [0, 9] but stops after the first row, so rows 1..9 are in its
+	// rescan and not in its read set.
+	tx := e.Begin(Optimistic, Serializable)
+	if err := tx.ScanRange(tbl, 0, 0, 9, nil, func(*storage.Version) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+
+	active := e.Begin(Optimistic, ReadCommitted)
+	if err := writeVal(t, active, tbl, 5, 50); err != nil {
+		t.Fatal(err)
+	}
+	// A delete: an update's new version would be a phantom of its own.
+	prep := e.Begin(Optimistic, ReadCommitted)
+	if n, err := prep.DeleteWhere(tbl, 0, 7, nil); err != nil || n != 1 {
+		t.Fatalf("delete n=%d err=%v", n, err)
+	}
+	prepDone := make(chan error, 1)
+	go func() { prepDone <- prep.Commit() }()
+	deadline := time.Now().Add(5 * time.Second)
+	for prep.T.State() != txn.Preparing {
+		if time.Now().After(deadline) {
+			t.Fatal("writer never reached Preparing")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	spec := e.Stats().SpeculativeReads
+	done := make(chan error, 1)
+	go func() { done <- tx.Commit() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("commit = %v, want success", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("commit waited on the preparing writer of a pre-begin row")
+	}
+	if got := e.Stats().SpeculativeReads; got != spec {
+		t.Fatalf("SpeculativeReads %d -> %d: the rescan took a commit dependency", spec, got)
+	}
+
+	gate.Release()
+	if err := <-prepDone; err != nil {
+		t.Fatalf("preparing writer: %v", err)
+	}
+	if err := active.Abort(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -16,7 +16,10 @@ package storage
 //   - Appending a version to an existing key's chain takes that bucket's
 //     latch only — the steady-state update path.
 //   - Inserting the first version of a brand-new key additionally takes the
-//     skip list's insertion latch to link the new node.
+//     skip list's insertion latch to link the new node. A key above the
+//     index's maximum (a sorted load, an auto-increment key) links behind
+//     the list's level tails with no descent; any other new key descends
+//     twice, lock-free and then under the latch.
 //   - Nodes are reclaimed when their key dies: when garbage collection
 //     unlinks the last version of a key, Unlink marks the node logically
 //     deleted (under the bucket latch, so a concurrent Link cannot be

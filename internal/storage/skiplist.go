@@ -105,6 +105,12 @@ func newSkipNode[V any](height int) *SkipNode[V] {
 // off the steady-state update path, which only appends entries to an
 // existing node's value.
 //
+// A key above the list's maximum — every key a sorted load or an
+// auto-increment insert creates — is an append: the list keeps the last
+// node of every level (the tail finger of Pugh's "A Skip List Cookbook"),
+// which are exactly its predecessors, so it links with no descent at all.
+// Other new keys take a lock-free miss and a descent under the latch.
+//
 // Node reclamation (MarkDeleted / SweepMarked) lets the list shrink when
 // keys die: callers mark a node whose value drained, and a periodic sweep
 // unlinks marked nodes from the towers under the insertion latch. A swept
@@ -118,7 +124,14 @@ type SkipList[V any] struct {
 	// mu serializes structural changes: node insertion and tower unlink.
 	mu  sync.Mutex
 	rng uint64 // xorshift64 state, guarded by mu
-	n   atomic.Int64
+	// last[lvl] is the last node of level lvl (nil: the head), guarded by
+	// mu. Inserts and sweeps keep it exact, so a key above last[0].key
+	// links behind it without a descent.
+	last [skipMaxLevel]*SkipNode[V]
+	// maxKey is last[0]'s key (0 when the list is empty), readable without
+	// mu: a larger key is absent, so GetOrCreate skips its lock-free Get.
+	maxKey atomic.Uint64
+	n      atomic.Int64
 	// sweep is SweepMarked's scratch batch, kept across rounds; guarded by mu.
 	sweep []*SkipNode[V]
 
@@ -226,15 +239,21 @@ func (s *SkipList[V]) Seek(lo uint64) *SkipNode[V] {
 // unlinked, and the retry will create a fresh one). A new node is one
 // allocation (newSkipNode).
 func (s *SkipList[V]) GetOrCreate(key uint64) *SkipNode[V] {
-	if n := s.Get(key); n != nil {
-		return n
+	if key <= s.maxKey.Load() {
+		if n := s.Get(key); n != nil {
+			return n
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var preds [skipMaxLevel]*SkipNode[V]
-	s.findPred(key, &preds)
-	if n := s.nextAt(preds[0], 0).Load(); n != nil && n.key == key {
-		return n // lost the race to another creator
+	if tail := s.last[0]; tail == nil || key > tail.key {
+		preds = s.last
+	} else {
+		s.findPred(key, &preds)
+		if n := s.nextAt(preds[0], 0).Load(); n != nil && n.key == key {
+			return n // lost the race to another creator
+		}
 	}
 	n := newSkipNode[V](s.randomLevel())
 	n.key = key
@@ -244,13 +263,30 @@ func (s *SkipList[V]) GetOrCreate(key uint64) *SkipNode[V] {
 	// continue the descent through it.
 	lvl := int(n.height)
 	for i := 0; i < lvl; i++ {
-		n.level(i).Store(s.nextAt(preds[i], i).Load())
+		succ := s.nextAt(preds[i], i).Load()
+		n.level(i).Store(succ)
+		if succ == nil {
+			s.setLast(i, n) // n is to be level i's last node
+		}
 	}
 	for i := 0; i < lvl; i++ {
 		s.nextAt(preds[i], i).Store(n)
 	}
 	s.n.Add(1)
 	return n
+}
+
+// setLast records node (nil: the head) as the last node of level lvl; mu is
+// held.
+func (s *SkipList[V]) setLast(lvl int, node *SkipNode[V]) {
+	s.last[lvl] = node
+	if lvl == 0 {
+		var k uint64
+		if node != nil {
+			k = node.key
+		}
+		s.maxKey.Store(k)
+	}
 }
 
 // MarkDeleted moves a live node to the logically deleted state and queues it
@@ -296,7 +332,8 @@ func (s *SkipList[V]) Revive(n *SkipNode[V]) bool {
 // SweepMarked unlinks up to max logically deleted nodes from every tower
 // level, under the insertion latch so structure changes stay serialized,
 // and returns how many it unlinked. Marked nodes that were revived in the
-// meantime are skipped.
+// meantime are skipped. A swept node that was the last of a level hands
+// that place to its predecessor there, so the list keeps no pointer to it.
 //
 // A swept node keeps its outgoing tower pointers: a reader parked on it
 // mid-scan continues into nodes that were its successors at unlink time
@@ -338,6 +375,9 @@ func (s *SkipList[V]) SweepMarked(max int) int {
 			p := s.nextAt(preds[lvl], lvl)
 			if p.Load() == n {
 				p.Store(n.level(lvl).Load())
+			}
+			if s.last[lvl] == n {
+				s.setLast(lvl, preds[lvl])
 			}
 		}
 		swept++

@@ -9,16 +9,26 @@ import (
 	"weak"
 )
 
-// A new skip-list node is one allocation: header and tower together.
+// A new skip-list node is one allocation: header and tower together, and
+// nothing else, whether the key is appended behind the tail finger or linked
+// below the maximum through a descent.
 func TestSkipNodeOneAllocation(t *testing.T) {
 	var s SkipList[Bucket]
-	key := uint64(0)
+	key := uint64(1 << 32)
 	allocs := testing.AllocsPerRun(1000, func() {
 		key++
 		s.GetOrCreate(key)
 	})
 	if allocs != 1 {
-		t.Fatalf("GetOrCreate of a fresh key made %v allocations, want 1", allocs)
+		t.Fatalf("GetOrCreate of a fresh key above the maximum made %v allocations, want 1", allocs)
+	}
+	key = 0
+	allocs = testing.AllocsPerRun(1000, func() {
+		key++
+		s.GetOrCreate(key)
+	})
+	if allocs != 1 {
+		t.Fatalf("GetOrCreate of a fresh key below the maximum made %v allocations, want 1", allocs)
 	}
 }
 
@@ -204,6 +214,21 @@ func BenchmarkSkipListGet1M(b *testing.B) {
 	i := 0
 	for b.Loop() {
 		benchSkipSink = s.Get(keys[i&(benchSkipKeys-1)])
+		i++
+	}
+}
+
+// BenchmarkSkipListAppend1M appends ascending keys, the order a sorted load
+// inserts them in, to a list that grows to 2^20 keys and then starts over:
+// an op is one GetOrCreate of a key above the maximum.
+func BenchmarkSkipListAppend1M(b *testing.B) {
+	s := new(SkipList[Bucket])
+	i := 0
+	for b.Loop() {
+		if i == benchSkipKeys {
+			s, i = new(SkipList[Bucket]), 0
+		}
+		benchSkipSink = s.GetOrCreate(uint64(i) << 4)
 		i++
 	}
 }
