@@ -217,13 +217,14 @@ func (db *Database) FunnelStats() ts.FunnelStats {
 }
 
 // PinOverflows reports how many reader-pin acquisitions found every slot of
-// the striped pin table occupied and fell back to a slower registered path
-// (a registered transaction covering a read-only begin or a capture).
-// Persistent overflow on a healthy workload means the pin table is
-// undersized for the machine's concurrency. 1V has no pin table and reads 0.
+// the pin table occupied (mv.Stats.PinOverflows): read-only begins and
+// checkpoint captures, each then covered by a registered transaction, and
+// deadlock-detector passes, each then walking unpinned. Persistent overflow
+// on a healthy workload means the pin table is undersized for the machine's
+// concurrency. 1V has no pin table and reads 0.
 func (db *Database) PinOverflows() uint64 {
 	if db.mvEng != nil {
-		return db.mvEng.PinTableOverflows()
+		return db.mvEng.Stats().PinOverflows
 	}
 	return 0
 }

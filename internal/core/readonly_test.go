@@ -74,7 +74,7 @@ func TestReadOnlyFacade(t *testing.T) {
 // TestReadOnlyFastLaneCounters is the read-only lane's contract on every
 // scheme: a few thousand R=10 transactions through BeginReadOnly move no
 // shared counter (MV: the timestamp oracle; 1V: the transaction-id and
-// end-sequence counters) and never overflow the striped pin table.
+// end-sequence counters) and never overflow the pin table.
 func TestReadOnlyFastLaneCounters(t *testing.T) {
 	const rows, txns = 1000, 4000
 	for _, scheme := range []core.Scheme{core.MVOptimistic, core.MVPessimistic, core.SingleVersion} {

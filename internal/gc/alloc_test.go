@@ -12,10 +12,14 @@ import (
 // to the round's size, retiring versions and collecting them allocates
 // nothing — Collect swaps the spare in instead of starting the live queue
 // over from nil, and the unlinked versions pass through the recycler's
-// Limbo without copying.
+// Limbo without copying. The watermark folds a ReaderPins.Min, as MV's
+// does, and each round takes and releases one pin, so a pin round is
+// counted too.
 func TestCollectSteadyStateAllocs(t *testing.T) {
 	tbl := newTable(t)
-	c := NewCollector(func() uint64 { return 1 << 60 })
+	var pins ReaderPins
+	pins.Init(0)
+	c := NewCollector(func() uint64 { return pins.Min(1 << 60) })
 	recycled := 0
 	c.SetRecycler(func() uint64 { return 1 }, func(*storage.Version) { recycled++ })
 	vs := make([]*storage.Version, 64)
@@ -25,6 +29,7 @@ func TestCollectSteadyStateAllocs(t *testing.T) {
 		vs[i] = storage.NewVersion(payloads[i], 1, field.FromTS(1), field.FromTS(2))
 	}
 	round := func() {
+		pins.Release(pins.Acquire(1 << 59))
 		for i, v := range vs {
 			v.Reset(payloads[i], 1, field.FromTS(1), field.FromTS(2))
 			tbl.Insert(v)
@@ -49,6 +54,6 @@ func TestCollectSteadyStateAllocs(t *testing.T) {
 		t.Errorf("recycled %d versions, want at least %d", recycled, rounds*len(vs))
 	}
 	if n := float64(after.Mallocs-before.Mallocs) / rounds; n != 0 {
-		t.Errorf("%.3f allocations per Retire+Collect round of %d versions, want 0", n, len(vs))
+		t.Errorf("%.3f allocations per pin+Retire+Collect round of %d versions, want 0", n, len(vs))
 	}
 }

@@ -92,9 +92,10 @@ type Stats struct {
 	// ReadOnlyBegins counts transactions started on the registration-free
 	// read-only fast lane (BeginReadOnly with a pin slot available).
 	ReadOnlyBegins uint64
-	// PinOverflows counts read-only begins and checkpoint captures that
-	// found every reader-pin slot occupied and were covered by a registered
-	// transaction instead.
+	// PinOverflows counts reader-pin acquisitions that found every slot
+	// occupied: read-only begins and checkpoint captures, each then covered
+	// by a registered transaction, and deadlock-detector passes, each then
+	// walking the transaction table unpinned.
 	PinOverflows uint64
 	// FastCommits counts commits that skipped the end-timestamp draw: the
 	// transaction wrote nothing, held no locks, and needed no validation.
@@ -137,10 +138,9 @@ type Engine struct {
 	txLimbo    storage.Limbo[*Tx]
 	txRecycled atomic.Uint64
 
-	roBegins     atomic.Uint64
-	pinOverflows atomic.Uint64
-	fastCommits  atomic.Uint64
-	nodesSwept   atomic.Uint64
+	roBegins    atomic.Uint64
+	fastCommits atomic.Uint64
+	nodesSwept  atomic.Uint64
 
 	commits          atomic.Uint64
 	aborts           atomic.Uint64
@@ -236,11 +236,6 @@ func (e *Engine) LoadRow(t *storage.Table, payload []byte) {
 // Oracle exposes the timestamp oracle (tests and diagnostics).
 func (e *Engine) Oracle() *ts.Oracle { return &e.oracle }
 
-// PinTableOverflows returns how many reader-pin acquisitions found the
-// striped pin table full (each fell back to a watermark-visible slow path,
-// e.g. registration for read-only begins).
-func (e *Engine) PinTableOverflows() uint64 { return e.pins.Overflows() }
-
 // TxnTable exposes the transaction table (tests and diagnostics).
 func (e *Engine) TxnTable() *txn.Table { return e.txns }
 
@@ -263,7 +258,7 @@ func (e *Engine) Stats() Stats {
 		TxRecycled:       e.txRecycled.Load(),
 		VersionsRecycled: e.vpool.Reuses(),
 		ReadOnlyBegins:   e.roBegins.Load(),
-		PinOverflows:     e.pinOverflows.Load(),
+		PinOverflows:     e.pins.Overflows(),
 		FastCommits:      e.fastCommits.Load(),
 		IndexNodesSwept:  e.nodesSwept.Load(),
 	}
@@ -336,16 +331,15 @@ func (e *Engine) BeginReadOnly() *Tx {
 // pin publishes a provisional reader pin at the current clock, BEFORE the
 // caller chooses a read time or loads any index pointer (see gc.ReaderPins
 // for why this ordering makes the watermark safe), and returns its slot.
-// When every slot is taken it counts the overflow and returns instead a
-// registered snapshot transaction, cover, whose begin timestamp bounds the
-// watermark the same way.
+// When every slot is taken (the pin table counts the overflow) it returns
+// instead a registered snapshot transaction, cover, whose begin timestamp
+// bounds the watermark the same way.
 //
 //mvlint:noalloc
 func (e *Engine) pin() (slot int, cover *Tx) {
 	if slot = e.pins.Acquire(e.oracle.Current()); slot >= 0 {
 		return slot, nil
 	}
-	e.pinOverflows.Add(1)
 	return -1, e.Begin(Optimistic, SnapshotIsolation)
 }
 

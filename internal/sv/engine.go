@@ -22,7 +22,7 @@ type Config struct {
 	// every N finished transactions (default 64). Negative disables
 	// cooperative reclamation (ReclaimNodes remains available).
 	ReclaimEvery int
-	// ReclaimQuota caps nodes swept/freed per cooperative round (default 256).
+	// ReclaimQuota caps nodes swept per cooperative round (default 256).
 	ReclaimQuota int
 }
 
