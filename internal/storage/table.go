@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -33,8 +34,11 @@ type IndexSpec struct {
 	// point lookups.
 	Composite *keyenc.Layout
 	// Buckets is the hash table size; it is rounded up to a power of two.
-	// The paper sizes hash tables so there are no collisions; callers should
-	// pass at least the expected row count.
+	// The paper sizes hash tables so there are no collisions: with at least
+	// as many buckets as keys, BucketMap gives each of the dense keys
+	// 0..n-1 a bucket of its own, and other key sets collide no more often
+	// than under a plain hash. Callers should pass at least the expected
+	// row count.
 	Buckets int
 }
 
@@ -193,19 +197,56 @@ func (t *Table) Unlink(v *Version) bool {
 type HashIndex struct {
 	ord     int
 	spec    IndexSpec
-	mask    uint64
+	slots   BucketMap
 	buckets []Bucket
 }
 
 func newHashIndex(ord int, spec IndexSpec) *HashIndex {
-	n := 1
-	for n < spec.Buckets {
-		n <<= 1
+	m := NewBucketMap(spec.Buckets)
+	return &HashIndex{ord: ord, spec: spec, slots: m, buckets: make([]Bucket, m.Len())}
+}
+
+// BucketMap places keys in a hash table of n = 2^b buckets by block
+// rotation: slot(key) = (key + mix(key >> b)) mod n. Inside each aligned
+// block of n consecutive keys the mapping is a rotation, so two keys of one
+// block never share a bucket and consecutive keys land in consecutive
+// buckets; block 0's rotation is mix(0) = 0, so a dense key range [0, n)
+// maps to the identity. Each block's rotation is a splitmix64 of the block
+// number, so two keys of different blocks share a bucket with probability
+// 1/n, as under a plain hash: for any key set the expected number of
+// collisions is at most a plain hash's (docs/indexes.md). Both engines'
+// hash indexes use it.
+type BucketMap struct {
+	mask  uint64
+	shift uint
+}
+
+// NewBucketMap returns the mapping for a table of buckets slots rounded up
+// to a power of two; a size below 2 gives a single bucket.
+func NewBucketMap(buckets int) BucketMap {
+	var b uint
+	if buckets > 1 {
+		b = uint(bits.Len64(uint64(buckets - 1)))
 	}
-	if n < 1 {
-		n = 1
-	}
-	return &HashIndex{ord: ord, spec: spec, mask: uint64(n - 1), buckets: make([]Bucket, n)}
+	return BucketMap{mask: 1<<b - 1, shift: b}
+}
+
+// Len returns the number of buckets.
+func (m BucketMap) Len() int { return int(m.mask + 1) }
+
+// Slot returns key's bucket number, in [0, Len()).
+func (m BucketMap) Slot(key uint64) uint64 { return (key + mix(key>>m.shift)) & m.mask }
+
+// mix is the splitmix64 finalizer. It picks a block's rotation, so keys of
+// different blocks meet in a bucket only by chance, never by a shared
+// stride; mix(0) = 0 leaves block 0 unrotated.
+func mix(k uint64) uint64 {
+	k ^= k >> 30
+	k *= 0xBF58476D1CE4E5B9
+	k ^= k >> 27
+	k *= 0x94D049BB133111EB
+	k ^= k >> 31
+	return k
 }
 
 // Ord returns the index ordinal within its table.
@@ -223,20 +264,9 @@ func (ix *HashIndex) NumBuckets() int { return len(ix.buckets) }
 // Key extracts this index's key from a payload.
 func (ix *HashIndex) Key(payload []byte) uint64 { return ix.spec.Key(payload) }
 
-// mix is a 64-bit finalizer (splitmix64) spreading sequential keys across
-// buckets.
-func mix(k uint64) uint64 {
-	k ^= k >> 30
-	k *= 0xBF58476D1CE4E5B9
-	k ^= k >> 27
-	k *= 0x94D049BB133111EB
-	k ^= k >> 31
-	return k
-}
-
 // Bucket returns the bucket for key.
 func (ix *HashIndex) Bucket(key uint64) *Bucket {
-	return &ix.buckets[mix(key)&ix.mask]
+	return &ix.buckets[ix.slots.Slot(key)]
 }
 
 // Lookup returns the bucket covering key; for a hash index every key maps to

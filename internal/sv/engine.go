@@ -147,7 +147,7 @@ type svIndex interface {
 type hashIndex struct {
 	ord     int
 	spec    storage.IndexSpec
-	mask    uint64
+	slots   storage.BucketMap
 	buckets []bucket
 }
 
@@ -225,19 +225,10 @@ func (r *Record) link(ord int) *link {
 // exclusive lock); the slice must not be modified.
 func (r *Record) Payload() []byte { return r.payload }
 
-func mix(k uint64) uint64 {
-	k ^= k >> 30
-	k *= 0xBF58476D1CE4E5B9
-	k ^= k >> 27
-	k *= 0x94D049BB133111EB
-	k ^= k >> 31
-	return k
-}
-
 func (ix *hashIndex) ordinal() int              { return ix.ord }
 func (ix *hashIndex) ordered() bool             { return false }
 func (ix *hashIndex) keyOf(p []byte) uint64     { return ix.spec.Key(p) }
-func (ix *hashIndex) bucket(key uint64) *bucket { return &ix.buckets[mix(key)&ix.mask] }
+func (ix *hashIndex) bucket(key uint64) *bucket { return &ix.buckets[ix.slots.Slot(key)] }
 
 func (ix *hashIndex) link(r *Record) {
 	l := r.link(ix.ord)
@@ -317,15 +308,12 @@ func (e *Engine) CreateTable(spec storage.TableSpec) (*Table, error) {
 			t.hashIxs = append(t.hashIxs, nil)
 			continue
 		}
-		n := 1
-		for n < is.Buckets {
-			n <<= 1
-		}
+		m := storage.NewBucketMap(is.Buckets)
 		hix := &hashIndex{
 			ord:     ord,
 			spec:    is,
-			mask:    uint64(n - 1),
-			buckets: make([]bucket, n),
+			slots:   m,
+			buckets: make([]bucket, m.Len()),
 		}
 		t.indexes = append(t.indexes, hix)
 		t.hashIxs = append(t.hashIxs, hix)

@@ -37,7 +37,10 @@ const (
 
 // SubNbr derives the "string" subscriber number key from s_id: the benchmark
 // stores the 15-digit decimal representation; we model the separate index
-// with an independent 64-bit mix of s_id.
+// with an independent 64-bit mix (splitmix64) of s_id. It is a key
+// derivation, a stand-in for a key with no order relation to s_id, not a
+// bucket mapping: the hash index places the derived key like any other
+// (storage.BucketMap).
 func SubNbr(sID uint64) uint64 {
 	k := sID
 	k ^= k >> 30

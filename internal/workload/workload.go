@@ -71,7 +71,9 @@ func (d NURand) Next(rng *rand.Rand) uint64 {
 }
 
 // Table builds the single-table schema of Section 5.1 with buckets sized so
-// there are no collisions (as in the paper's setup).
+// there are no collisions (as in the paper's setup): the table has at least
+// n buckets, and the hash indexes give the dense keys 0..n-1 that Load
+// inserts distinct buckets (storage.BucketMap).
 func Table(db *core.Database, n uint64) (*core.Table, error) {
 	buckets := int(n)
 	if buckets < 1024 {
