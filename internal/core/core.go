@@ -181,7 +181,8 @@ func (db *Database) CreateTable(spec TableSpec) (*Table, error) {
 }
 
 // LoadRow bulk-loads a committed row outside any transaction. Not safe for
-// concurrent use; intended for initial population.
+// concurrent use; intended for initial population. The engine keeps
+// payload: the caller must not modify it after the call.
 func (db *Database) LoadRow(t *Table, payload []byte) {
 	if db.mvEng != nil {
 		db.mvEng.LoadRow(t.mvT, payload)
@@ -624,7 +625,8 @@ func (tx *Tx) Lookup(t *Table, index int, key uint64, pred Pred) (Row, bool, err
 	return row, row.Valid(), nil
 }
 
-// Insert adds a new record.
+// Insert adds a new record. The engine keeps payload: the caller must not
+// modify it after the call.
 func (tx *Tx) Insert(t *Table, payload []byte) error {
 	if tx.readOnly {
 		return ErrReadOnlyTx
@@ -638,7 +640,8 @@ func (tx *Tx) Insert(t *Table, payload []byte) error {
 	return tx.svTx.Insert(t.svT, payload)
 }
 
-// Update replaces the record identified by row with newPayload.
+// Update replaces the record identified by row with newPayload. The engine
+// keeps newPayload: the caller must not modify it after the call.
 func (tx *Tx) Update(t *Table, row Row, newPayload []byte) error {
 	if tx.readOnly {
 		return ErrReadOnlyTx
@@ -667,7 +670,9 @@ func (tx *Tx) Delete(t *Table, row Row) error {
 }
 
 // UpdateWhere updates every visible row matching key and pred with mut(old),
-// returning the number updated.
+// returning the number updated. old belongs to the engine and must not be
+// modified. The engine keeps the slice mut returns, as Update keeps
+// newPayload: mut must return a slice nobody modifies afterwards.
 func (tx *Tx) UpdateWhere(t *Table, index int, key uint64, pred Pred, mut func(old []byte) []byte) (int, error) {
 	if tx.readOnly {
 		return 0, ErrReadOnlyTx

@@ -21,7 +21,7 @@ import (
 // This turns the "allocs/op stays byte-identical" bench discipline of PRs
 // 3–5 into a static gate that needs no benchmark run: the annotated hot
 // paths (mv commit/begin, sv tx, visibility checks, skip-list traversal,
-// reader-pin Acquire/Release, arena Get/Put) cannot regrow an allocation
+// reader-pin Acquire/Release, version pool Get/Put) cannot regrow an allocation
 // without failing CI.
 //
 // Scope is the honest one for a static check: escape analysis attributes

@@ -229,7 +229,7 @@ func (e *Engine) Table(name string) (*storage.Table, bool) {
 // It is used for initial bulk loading (single-threaded).
 func (e *Engine) LoadRow(t *storage.Table, payload []byte) {
 	tstamp := e.oracle.Next()
-	v := e.vpool.GetIn(t.Arena(), payload, t.NumIndexes(), tstamp, infinityWord)
+	v := e.vpool.Get(payload, t.NumIndexes(), tstamp, infinityWord)
 	t.Insert(v)
 }
 

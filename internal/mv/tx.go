@@ -370,7 +370,9 @@ func (tx *Tx) Lookup(t *storage.Table, indexOrd int, key uint64, pred Pred) (*st
 }
 
 // Insert creates a brand-new record version and links it into every index of
-// the table. The version becomes visible to others only when tx commits.
+// the table. The version becomes visible to others only when tx commits. The
+// engine keeps payload (above storage.InlinePayload bytes, by reference): the
+// caller must not modify it after the call.
 func (tx *Tx) Insert(t *storage.Table, payload []byte) error {
 	if err := tx.checkUsable(); err != nil {
 		return err
@@ -381,7 +383,7 @@ func (tx *Tx) Insert(t *storage.Table, payload []byte) error {
 	if tx.e.cfg.Log.Failed() {
 		return ErrDegraded
 	}
-	v := tx.e.vpool.GetIn(t.Arena(), payload, t.NumIndexes(), field.FromTxID(tx.T.ID()), infinityWord)
+	v := tx.e.vpool.Get(payload, t.NumIndexes(), field.FromTxID(tx.T.ID()), infinityWord)
 	t.Insert(v)
 	tx.writeSet = append(tx.writeSet, writeRec{t, nil, v, wal.OpInsert, v.Key(0)})
 	// Primary-key uniqueness. The check runs AFTER the version is linked,
@@ -536,7 +538,8 @@ func (tx *Tx) versionMayStayLatest(v *storage.Version) (bool, error) {
 // Update replaces old (a version obtained from Lookup/Scan in this
 // transaction) with a new version carrying newPayload. On a write-write
 // conflict the first-writer-wins rule applies and ErrWriteConflict is
-// returned; the transaction must then abort.
+// returned; the transaction must then abort. The engine keeps newPayload, as
+// Insert keeps payload: the caller must not modify it after the call.
 func (tx *Tx) Update(t *storage.Table, old *storage.Version, newPayload []byte) error {
 	if err := tx.checkUsable(); err != nil {
 		return err
@@ -558,7 +561,7 @@ func (tx *Tx) Update(t *storage.Table, old *storage.Version, newPayload []byte) 
 		tx.T.AddWaitFor()
 		tx.updatedReadLocked = true
 	}
-	nv := tx.e.vpool.GetIn(t.Arena(), newPayload, t.NumIndexes(), field.FromTxID(tx.T.ID()), infinityWord)
+	nv := tx.e.vpool.Get(newPayload, t.NumIndexes(), field.FromTxID(tx.T.ID()), infinityWord)
 	t.Insert(nv)
 	tx.writeSet = append(tx.writeSet, writeRec{t, old, nv, wal.OpUpdate, nv.Key(0)})
 	// Scan-lock check after linking, for the same reason as Insert: the

@@ -21,29 +21,23 @@ type VersionPool struct {
 
 // Get returns a version initialized like NewVersion, reusing a recycled
 // object when one is available.
-func (p *VersionPool) Get(payload []byte, nindexes int, begin, end uint64) *Version {
-	return p.GetIn(nil, payload, nindexes, begin, end)
-}
-
-// GetIn is Get with a payload arena (see Version.ResetIn): oversized
-// payloads are copied into a slab block recycled with the version.
 //
 //mvlint:noalloc
-func (p *VersionPool) GetIn(a *PayloadArena, payload []byte, nindexes int, begin, end uint64) *Version {
+func (p *VersionPool) Get(payload []byte, nindexes int, begin, end uint64) *Version {
 	if v, ok := p.pool.Get().(*Version); ok {
 		p.reuses.Add(1)
-		v.ResetIn(a, payload, nindexes, begin, end)
+		v.Reset(payload, nindexes, begin, end)
 		return v
 	}
 	// Pool miss: the allocation lives in its own function so the recycled
 	// fast path stays allocation free (mvlint/noalloc).
 	v := newVersion()
-	v.ResetIn(a, payload, nindexes, begin, end)
+	v.Reset(payload, nindexes, begin, end)
 	return v
 }
 
 // newVersion is the pool-miss slow path. Marked noinline so the compiler
-// cannot fold the allocation back into GetIn's fast path (and so the
+// cannot fold the allocation back into Get's fast path (and so the
 // mvlint/noalloc escape attribution stays put).
 //
 //go:noinline
@@ -60,11 +54,7 @@ func (p *VersionPool) Put(v *Version) {
 		return
 	}
 	// Drop the payload reference now: for large (non-inline) payloads this
-	// releases the caller's buffer even while the version sits in the pool,
-	// and arena blocks go back to their slab for the next oversized row.
-	if v.ext != nil {
-		v.ext.releaseBlock()
-	}
+	// releases the caller's buffer even while the version sits in the pool.
 	v.payload, v.plen = nil, 0
 	p.pool.Put(v)
 }

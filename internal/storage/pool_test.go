@@ -22,6 +22,33 @@ func TestVersionInlinePayloadCopied(t *testing.T) {
 	}
 }
 
+// TestVersionInlineStillInline: a payload that fits the inline buffer is
+// copied into it on the pool's path too, not kept by reference.
+func TestVersionInlineStillInline(t *testing.T) {
+	var p VersionPool
+	small := []byte("hello")
+	v := p.Get(small, 1, 1, 2)
+	if &v.Payload()[0] != &v.inline[0] {
+		t.Fatal("small payload not inlined")
+	}
+	p.Put(v)
+}
+
+// TestArenaUnservedSizes pins the empty PayloadArena's contract, which the
+// benchmark module's probe relies on: Get serves no size and Put ignores
+// any block.
+func TestArenaUnservedSizes(t *testing.T) {
+	var tbl Table
+	a := tbl.Arena()
+	for _, n := range []int{0, InlinePayload, InlinePayload + 1, 256, 8 << 10, 8<<10 + 1} {
+		if b := a.Get(n); b != nil {
+			t.Fatalf("Get(%d) served a %d-byte block", n, cap(b))
+		}
+	}
+	a.Put(nil)
+	a.Put(make([]byte, 100, 128))
+}
+
 func TestVersionPoolReuse(t *testing.T) {
 	var p VersionPool
 	v1 := p.Get([]byte{1, 1, 1}, 3, field.FromTS(5), field.FromTS(field.Infinity))

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // checkTail checks that the list's level tails are exact: last[lvl] is the
@@ -310,6 +311,12 @@ func TestSkipListTailConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// An appender that reaches a marked key again revives it, so every sweep
+	// during the appends can come to nothing. With the appenders done, the
+	// sweeper's next pass sweeps (the readers still run against it).
+	for deadline := time.Now().Add(10 * time.Second); swept.Load() == 0 && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
 	done.Store(true)
 	bg.Wait()
 	if swept.Load() == 0 {

@@ -123,13 +123,23 @@ func (c *RangeCursor) Next() (b *Bucket, key uint64, ok bool) {
 type Table struct {
 	Name    string
 	indexes []Index
-	// arena recycles payload blocks for rows too large for the version's
-	// inline buffer; blocks return to it when versions are recycled.
-	arena PayloadArena
 }
 
-// Arena returns the table's payload slab arena.
-func (t *Table) Arena() *PayloadArena { return &t.arena }
+// PayloadArena serves no size: Get returns nil and Put does nothing, since a
+// version keeps a payload above InlinePayload by reference. The type and
+// Table.Arena exist only for the benchmark module (benchmark/probes.go);
+// ROADMAP item 1(f) drops them there, then here.
+type PayloadArena struct{}
+
+// Get returns nil: the arena serves no size.
+func (*PayloadArena) Get(n int) []byte { return nil }
+
+// Put does nothing.
+func (*PayloadArena) Put(b []byte) {}
+
+// Arena returns an empty PayloadArena. It exists only for the benchmark
+// module; see PayloadArena.
+func (t *Table) Arena() *PayloadArena { return &PayloadArena{} }
 
 // NewTable builds a table from its spec.
 func NewTable(spec TableSpec) (*Table, error) {

@@ -20,8 +20,8 @@ import (
 // InlinePayload is the size of a version's inline payload buffer: payloads
 // at most this long are copied into the version itself, so small fixed-width
 // records (the paper's 24-byte rows, every TATP row) need no separate
-// payload allocation. Larger payloads live in the table's arena or are
-// retained by reference.
+// payload allocation. A larger payload is kept by reference: the version
+// holds the caller's slice, which the caller must not modify afterwards.
 const InlinePayload = 56
 
 // Version is one version of a record. The payload is immutable after
@@ -34,7 +34,7 @@ const InlinePayload = 56
 //     Begin and End words, the chain pointers and cached keys of the first
 //     two indexes, and the payload's address and length;
 //   - line 1 holds the inline payload and the pointer to the rarely needed
-//     extension (chain slots of ordinals 2 and up, an arena payload block).
+//     extension (chain slots of ordinals 2 and up).
 //
 // A reader that skips a version (another key in its hash bucket, a version
 // it cannot see) touches only line 0.
@@ -52,8 +52,8 @@ type Version struct {
 	end          atomic.Uint64
 	next0, next1 atomic.Pointer[Version]
 	key0, key1   uint64
-	// payload and plen describe the record's user data: the inline buffer,
-	// an arena block or the caller's slice. See Payload.
+	// payload and plen describe the record's user data: the inline buffer
+	// or the caller's slice. See Payload.
 	payload *byte
 	plen    uint32
 	// unlinked is set once the version has been removed from every index by
@@ -66,15 +66,11 @@ type Version struct {
 }
 
 // versionExt holds what only some versions need: the chain slots of index
-// ordinals 2 and up, and the arena block behind a payload too big for the
-// inline buffer. It is allocated the first time a version needs it and stays
-// with the version across recycles, so steady-state reuse allocates nothing.
+// ordinals 2 and up. It is allocated the first time a version needs it and
+// stays with the version across recycles, so steady-state reuse allocates
+// nothing.
 type versionExt struct {
 	more []link
-	// arena and block track a payload block borrowed from a table's slab
-	// arena; VersionPool.Put returns the block when the version is recycled.
-	arena *PayloadArena
-	block []byte
 }
 
 // link is one index's chain slot: the successor and the cached key.
@@ -93,28 +89,15 @@ func NewVersion(payload []byte, nindexes int, begin, end uint64) *Version {
 }
 
 // Reset rearms a version for reuse: it installs the payload (copying small
-// payloads into the inline buffer), sizes the spill chain slots for
-// nindexes, clears every chain pointer and the unlinked flag, and stores the
-// Begin and End words. The caller must guarantee the version is unreachable:
-// unlinked from every index, with every transaction that might still hold a
-// pointer terminated.
-func (v *Version) Reset(payload []byte, nindexes int, begin, end uint64) {
-	v.ResetIn(nil, payload, nindexes, begin, end)
-}
-
-// ResetIn is Reset with a payload arena: payloads too big for the inline
-// buffer are copied into a slab block from a (per-table) arena instead of
-// being retained by reference, so they are recycled with the version. A nil
-// arena, or a payload the arena does not serve, retains the caller's slice
-// as before.
+// payloads into the inline buffer and keeping larger ones by reference),
+// sizes the spill chain slots for nindexes, clears every chain pointer and
+// the unlinked flag, and stores the Begin and End words. The caller must
+// guarantee the version is unreachable: unlinked from every index, with
+// every transaction that might still hold a pointer terminated.
 //
 //mvlint:noalloc
-func (v *Version) ResetIn(a *PayloadArena, payload []byte, nindexes int, begin, end uint64) {
-	x := v.ext
-	if x != nil {
-		// Rearmed without passing through VersionPool.Put: return the old
-		// slab block first (the unreachability contract makes this safe).
-		x.releaseBlock()
+func (v *Version) Reset(payload []byte, nindexes int, begin, end uint64) {
+	if x := v.ext; x != nil {
 		// Clear the whole spill capacity (not just the old length) so a
 		// pooled version doesn't retain chain pointers from a previous table.
 		more := x.more[:cap(x.more)]
@@ -125,26 +108,16 @@ func (v *Version) ResetIn(a *PayloadArena, payload []byte, nindexes int, begin, 
 		x.more = x.more[:0]
 	}
 	n := len(payload)
-	var block []byte
-	if n > InlinePayload && a != nil {
-		block = a.Get(n)
-	}
-	switch {
-	case n <= InlinePayload:
+	if n <= InlinePayload {
 		copy(v.inline[:], payload)
 		v.payload = &v.inline[0]
-	case block != nil:
-		x = v.extension()
-		x.arena, x.block = a, block
-		copy(block, payload)
-		v.payload = &block[0]
-	default:
+	} else {
 		v.payload = unsafe.SliceData(payload)
 	}
 	// The WAL frames payload lengths as 32 bits too (wal.EncodeRecord).
 	v.plen = uint32(n)
 	if nindexes > 2 {
-		x = v.extension()
+		x := v.extension()
 		if cap(x.more) < nindexes-2 {
 			x.growMore(nindexes - 2)
 		}
@@ -167,7 +140,7 @@ func (v *Version) extension() *versionExt {
 }
 
 // newVersionExt is the extension's one-time allocation, kept out of line so
-// ResetIn's reuse path stays allocation free (mvlint/noalloc).
+// Reset's reuse path stays allocation free (mvlint/noalloc).
 //
 //go:noinline
 func newVersionExt() *versionExt { return &versionExt{} }
@@ -178,19 +151,11 @@ func newVersionExt() *versionExt { return &versionExt{} }
 //go:noinline
 func (x *versionExt) growMore(n int) { x.more = make([]link, 0, n) }
 
-// releaseBlock hands the payload's arena block, if any, back to its arena.
-func (x *versionExt) releaseBlock() {
-	if x.arena != nil {
-		x.arena.Put(x.block)
-		x.arena, x.block = nil, nil
-	}
-}
-
 // Payload returns the record's user data. It must not be modified, and must
 // not be retained past the reading transaction's lifetime: it may point into
-// the version's inline buffer or an arena block, both reused when the
-// version is recycled. Its capacity equals its length, so an append copies
-// instead of writing into the version.
+// the version's inline buffer, which is reused when the version is recycled.
+// Its capacity equals its length, so an append copies instead of writing
+// into the version.
 func (v *Version) Payload() []byte { return unsafe.Slice(v.payload, v.plen) }
 
 // Begin loads the Begin word.

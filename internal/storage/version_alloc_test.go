@@ -12,31 +12,33 @@ import (
 	"repro/internal/field"
 )
 
-// TestVersionOneAllocation: a version for a table of one or two indexes,
-// with a payload that fits inline, is one object.
+// TestVersionOneAllocation: a version for a table of one or two indexes is
+// one object, whether its payload fits inline or is kept by reference (a
+// larger payload is not copied).
 func TestVersionOneAllocation(t *testing.T) {
-	payload := bytes.Repeat([]byte{1}, InlinePayload)
-	for nix := 1; nix <= 2; nix++ {
-		n := testing.AllocsPerRun(100, func() {
-			NewVersion(payload, nix, field.FromTS(1), field.FromTS(field.Infinity))
-		})
-		if n != 1 {
-			t.Errorf("%d-index version: %v allocations, want 1", nix, n)
+	for _, size := range []int{InlinePayload, InlinePayload + 1, 8 << 10, 8<<10 + 1} {
+		payload := bytes.Repeat([]byte{1}, size)
+		for nix := 1; nix <= 2; nix++ {
+			n := testing.AllocsPerRun(100, func() {
+				NewVersion(payload, nix, field.FromTS(1), field.FromTS(field.Infinity))
+			})
+			if n != 1 {
+				t.Errorf("%d-index version, %d-byte payload: %v allocations, want 1", nix, size, n)
+			}
 		}
 	}
 }
 
 // TestVersionPoolSteadyStateAllocs: once a recycled version has grown its
 // extension, reusing it allocates nothing, whatever the table's index count
-// and wherever the payload lives (inline or in the arena).
+// and whether the payload is inline or kept by reference.
 func TestVersionPoolSteadyStateAllocs(t *testing.T) {
 	var p VersionPool
-	var a PayloadArena
 	for _, nix := range []int{1, 2, 4} {
 		for _, size := range []int{24, InlinePayload, 200} {
 			payload := bytes.Repeat([]byte{2}, size)
 			cycle := func() {
-				p.Put(p.GetIn(&a, payload, nix, field.FromTS(1), field.FromTS(field.Infinity)))
+				p.Put(p.Get(payload, nix, field.FromTS(1), field.FromTS(field.Infinity)))
 			}
 			cycle()
 			if n := testing.AllocsPerRun(100, cycle); n != 0 {

@@ -56,26 +56,24 @@ func TestVersionCacheLineAligned(t *testing.T) {
 }
 
 // TestVersionPayloadCapacity checks that Payload's capacity is its length
-// for every kind of payload storage, so an append by a caller copies instead
-// of writing into the version's inline buffer or arena block.
+// for inline and by-reference payloads alike, so an append by a caller
+// copies instead of writing into the version's inline buffer or past the
+// caller's slice.
 func TestVersionPayloadCapacity(t *testing.T) {
-	var a PayloadArena
 	for _, n := range []int{0, 8, InlinePayload, InlinePayload + 1, 200} {
 		src := bytes.Repeat([]byte{0x5A}, n)
-		for _, arena := range []*PayloadArena{nil, &a} {
-			v := new(Version)
-			v.ResetIn(arena, src, 1, field.FromTS(1), field.FromTS(field.Infinity))
-			p := v.Payload()
-			if len(p) != n || cap(p) != n || !bytes.Equal(p, src) {
-				t.Fatalf("n=%d arena=%v: payload len %d cap %d", n, arena != nil, len(p), cap(p))
-			}
-			_ = append(p, 0xFF)
-			if got := v.Payload(); !bytes.Equal(got, src) {
-				t.Fatalf("n=%d arena=%v: append through Payload changed the version", n, arena != nil)
-			}
-			if n < InlinePayload && v.inline[n] != 0 {
-				t.Fatalf("n=%d: append wrote into the inline buffer", n)
-			}
+		v := new(Version)
+		v.Reset(src, 1, field.FromTS(1), field.FromTS(field.Infinity))
+		p := v.Payload()
+		if len(p) != n || cap(p) != n || !bytes.Equal(p, src) {
+			t.Fatalf("n=%d: payload len %d cap %d", n, len(p), cap(p))
+		}
+		_ = append(p, 0xFF)
+		if got := v.Payload(); !bytes.Equal(got, src) {
+			t.Fatalf("n=%d: append through Payload changed the version", n)
+		}
+		if n < InlinePayload && v.inline[n] != 0 {
+			t.Fatalf("n=%d: append wrote into the inline buffer", n)
 		}
 	}
 	if v := NewVersion(nil, 1, 1, 2); v.Payload() == nil {
@@ -84,7 +82,7 @@ func TestVersionPayloadCapacity(t *testing.T) {
 }
 
 // TestVersionRetainedPayload checks that a payload retained by reference
-// (too big for the inline buffer, no arena) is kept alive by the version
+// (too big for the inline buffer) is kept alive by the version
 // alone, and released when the version is recycled.
 func TestVersionRetainedPayload(t *testing.T) {
 	var p VersionPool

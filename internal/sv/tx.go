@@ -399,7 +399,8 @@ func (tx *Tx) lockKeyX(ix svIndex, key uint64) error {
 }
 
 // Insert creates a record, exclusively locking its key cover in every index
-// and linking it. Readers of those covers block until commit.
+// and linking it. Readers of those covers block until commit. The record
+// keeps payload by reference: the caller must not modify it after the call.
 func (tx *Tx) Insert(t *Table, payload []byte) error {
 	if tx.done {
 		return ErrTxDone
@@ -449,7 +450,8 @@ func (tx *Tx) lockRecordX(t *Table, r *Record) ([]uint64, error) {
 }
 
 // Update overwrites r's payload in place, relocating it between chains if an
-// index key changed.
+// index key changed. The record keeps newPayload by reference: the caller
+// must not modify it after the call.
 func (tx *Tx) Update(t *Table, r *Record, newPayload []byte) error {
 	if tx.done {
 		return ErrTxDone
