@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/keyenc"
-	"repro/internal/wal"
 )
 
 // TableSpec tells the checkpointer how to partition one table's snapshot.
@@ -90,8 +88,9 @@ type Health struct {
 	Consecutive int
 	// LastErr is the most recent attempt's error, nil after a success.
 	LastErr error
-	// Fatal, once non-nil, means checkpointing has permanently stopped:
-	// the store latched a write/fsync failure or froze at a crash point.
+	// Fatal, once non-nil, means checkpointing has permanently stopped: it
+	// is the store's latched error (Store.Err), a write/fsync failure or an
+	// injected crash.
 	Fatal error
 	// LastStableTS is the stable timestamp of the last published checkpoint.
 	LastStableTS uint64
@@ -121,13 +120,11 @@ func (c *Checkpointer) record(stats Stats, err error) {
 	c.health.Failures++
 	c.health.Consecutive++
 	c.health.LastErr = err
-	// A latched store failure or an injected freeze/power loss cannot heal:
-	// latch it as fatal so the loop stops burning capture attempts against a
-	// sink that will never accept them.
+	// A latched store failure cannot heal: latch it as fatal so the loop
+	// stops burning capture attempts against a sink that will never accept
+	// them.
 	if serr := c.store.Err(); serr != nil {
 		c.health.Fatal = serr
-	} else if errors.Is(err, ErrFrozen) || errors.Is(err, wal.ErrCrashed) {
-		c.health.Fatal = err
 	}
 }
 
@@ -136,13 +133,13 @@ func New(db *core.Database, store *Store, specs []TableSpec, opts Options) *Chec
 	return &Checkpointer{db: db, store: store, specs: specs, opts: opts}
 }
 
-// Run takes one checkpoint. It returns ErrFrozen if an injected crash fired
-// anywhere along the way.
+// Run takes one checkpoint. Once the store has latched an error (a crash
+// injected anywhere along the way included), every step returns it.
 func (c *Checkpointer) Run() (Stats, error) {
 	start := time.Now()
 	var stats Stats
-	if c.store.Frozen() {
-		return stats, ErrFrozen
+	if err := c.store.Err(); err != nil {
+		return stats, err
 	}
 	seq := c.store.nextCkptSeq()
 	dirName := fmt.Sprintf("ckpt-%06d", seq)
@@ -217,7 +214,8 @@ func (c *Checkpointer) Run() (Stats, error) {
 				w.abandon()
 			}
 		}
-		if attempt+1 >= captureAttempts || c.store.Frozen() {
+		c.store.latchCrash(err)
+		if attempt+1 >= captureAttempts || c.store.Err() != nil {
 			return stats, fmt.Errorf("ckpt: capture failed after %d attempts: %w", attempt+1, err)
 		}
 		time.Sleep(time.Duration(attempt+1) * time.Millisecond)
@@ -228,7 +226,7 @@ func (c *Checkpointer) Run() (Stats, error) {
 	// Make every record at or below S durable in a sealed segment before the
 	// checkpoint that supersedes them can publish.
 	if w := c.db.WAL(); w != nil {
-		if err := w.Flush(); err != nil && !c.store.Frozen() {
+		if err := w.Flush(); err != nil {
 			return stats, err
 		}
 	}
@@ -242,9 +240,9 @@ func (c *Checkpointer) Run() (Stats, error) {
 		rt := routes[spec.Table]
 		tm := TableManifest{Name: spec.Table.Name()}
 		for i, w := range rt.writers {
-			rows, bytes, crc, err := w.finish(c.store)
+			rows, bytes, crc, err := w.finish()
 			if err != nil {
-				return stats, err
+				return stats, c.store.latchCrash(err)
 			}
 			tm.Parts = append(tm.Parts, PartInfo{
 				File:  partFileName(spec.Table.Name(), i),
@@ -276,9 +274,6 @@ func (c *Checkpointer) Run() (Stats, error) {
 		}
 		stats.ReclaimedBytes = reclaimed
 	}
-	if c.store.Frozen() {
-		return stats, ErrFrozen
-	}
 	stats.Elapsed = time.Since(start)
 	return stats, nil
 }
@@ -286,7 +281,7 @@ func (c *Checkpointer) Run() (Stats, error) {
 // Start launches a background loop checkpointing every interval until Stop.
 // Transient failures (capture lock timeouts, partition I/O that may clear)
 // are retried with exponential backoff bounded at 16× the interval; a fatal
-// condition (latched sink failure, injected freeze or power loss) stops
+// condition (latched sink failure or injected crash) stops
 // further attempts and is reported by Health — the loop never dies silently
 // and never hammers a dead disk.
 func (c *Checkpointer) Start(interval time.Duration) {

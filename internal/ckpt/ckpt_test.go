@@ -1,6 +1,7 @@
 package ckpt_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -211,29 +212,46 @@ func logBytes(t *testing.T, store *ckpt.Store) int64 {
 	return total
 }
 
+// openFaultStore opens a store whose files go through a fault registry.
+func openFaultStore(t *testing.T, dir string) (*ckpt.Store, *wal.Faults) {
+	t.Helper()
+	f := wal.NewFaults()
+	store, err := ckpt.OpenStoreWith(dir, ckpt.StoreOptions{Faults: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store, f
+}
+
+// assertCrashed checks that a checkpoint run died of an injected crash and
+// that the crash latched the store, so the log can write nothing after it.
+func assertCrashed(t *testing.T, store *ckpt.Store, runErr error) {
+	t.Helper()
+	if !errors.Is(runErr, wal.ErrCrashed) {
+		t.Fatalf("Run = %v, want wal.ErrCrashed", runErr)
+	}
+	if err := store.Err(); !errors.Is(err, wal.ErrCrashed) {
+		t.Fatalf("Err = %v, want the latched crash", err)
+	}
+	if n, err := store.Write([]byte("x")); n != 0 || !errors.Is(err, wal.ErrCrashed) {
+		t.Fatalf("Write after the crash = %d, %v; want 0, wal.ErrCrashed", n, err)
+	}
+}
+
 // TestCrashMidPartition arms the partition-write fault: the checkpoint dies
 // half-way through a partition file, no manifest publishes, and recovery
 // falls back to full-log replay.
 func TestCrashMidPartition(t *testing.T) {
 	dir := t.TempDir()
-	store, err := ckpt.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, f := openFaultStore(t, dir)
 	db, tbl := openDB(t, core.SingleVersion, store)
 	mutate(t, db, tbl, 0, nKeys)
 	want := dump(t, db, tbl)
 
-	f := wal.NewFaults()
 	f.Arm(ckpt.FaultPartWrite, 1)
-	store.SetFaults(f)
 	cp := ckpt.New(db, store, []ckpt.TableSpec{{Table: tbl, Lo: 0, Hi: nKeys - 1}}, ckpt.Options{})
-	if _, err := cp.Run(); err != ckpt.ErrFrozen {
-		t.Fatalf("Run = %v, want ErrFrozen", err)
-	}
-	if !store.Frozen() {
-		t.Fatal("store should be frozen")
-	}
+	_, err := cp.Run()
+	assertCrashed(t, store, err)
 	db.Close()
 	store.Close()
 
@@ -249,21 +267,15 @@ func TestCrashMidPartition(t *testing.T) {
 // whole log.
 func TestCrashBeforeCurrent(t *testing.T) {
 	dir := t.TempDir()
-	store, err := ckpt.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, f := openFaultStore(t, dir)
 	db, tbl := openDB(t, core.MVPessimistic, store)
 	mutate(t, db, tbl, 0, nKeys)
 	want := dump(t, db, tbl)
 
-	f := wal.NewFaults()
 	f.Arm(ckpt.FaultManifest, 0)
-	store.SetFaults(f)
 	cp := ckpt.New(db, store, []ckpt.TableSpec{{Table: tbl, Lo: 0, Hi: nKeys - 1}}, ckpt.Options{})
-	if _, err := cp.Run(); err != ckpt.ErrFrozen {
-		t.Fatalf("Run = %v, want ErrFrozen", err)
-	}
+	_, err := cp.Run()
+	assertCrashed(t, store, err)
 	db.Close()
 	store.Close()
 
@@ -279,6 +291,66 @@ func TestCrashBeforeCurrent(t *testing.T) {
 
 	got, _ := recoverInto(t, core.MVPessimistic, dir, recovery.Options{})
 	diffStates(t, want, got, "after pre-CURRENT crash")
+}
+
+// TestCrashKillRefusesCommits: at Flush durability a process kill on the
+// live segment fails the Write of the batch it lands in, so the log
+// acknowledges none of that batch's commits, the store refuses every later
+// write, and no later commit is acknowledged either. Every byte written
+// before the kill survives: recovery holds each acknowledged row, and the
+// refused row exactly when the whole batch landed (wal.freeze).
+func TestCrashKillRefusesCommits(t *testing.T) {
+	for _, tc := range []struct {
+		point     string
+		resurrect bool
+	}{
+		{wal.FaultWALTear, false},
+		{wal.FaultWALFreeze, true},
+	} {
+		t.Run(tc.point, func(t *testing.T) {
+			dir := t.TempDir()
+			store, f := openFaultStore(t, dir)
+			db, tbl := openDB(t, core.MVOptimistic, store)
+			const acked = 3
+			f.Arm(tc.point, acked) // one Write per commit: the 4th dies
+			want := make(map[uint64]uint64)
+			for k := uint64(0); k < 8; k++ {
+				tx := db.Begin()
+				err := tx.Insert(tbl, workload.Row(k, k))
+				if err == nil {
+					err = tx.Commit()
+				} else {
+					tx.Abort()
+				}
+				switch {
+				case k < acked:
+					if err != nil {
+						t.Fatalf("commit %d before the kill: %v", k, err)
+					}
+					want[k] = k
+				case k == acked:
+					if !errors.Is(err, wal.ErrCrashed) {
+						t.Fatalf("commit %d in the killed batch = %v, want wal.ErrCrashed", k, err)
+					}
+					if tc.resurrect {
+						want[k] = k
+					}
+				case err == nil:
+					t.Fatalf("commit %d acknowledged after the kill", k)
+				}
+			}
+			if n, err := store.Write([]byte("x")); n != 0 || !errors.Is(err, wal.ErrCrashed) {
+				t.Fatalf("Write after the kill = %d, %v; want 0, wal.ErrCrashed", n, err)
+			}
+			if err := db.Degraded(); !errors.Is(err, wal.ErrCrashed) {
+				t.Fatalf("Degraded = %v, want wal.ErrCrashed", err)
+			}
+			db.Close()
+			store.Close()
+			got, _ := recoverInto(t, core.MVOptimistic, dir, recovery.Options{})
+			diffStates(t, want, got, "after the kill")
+		})
+	}
 }
 
 // TestPartitionCRCDetected flips a payload byte in a published partition

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"repro/internal/wal"
 )
 
 // Partition file format: an 8-byte magic, then Rows rows of
@@ -48,25 +50,11 @@ type Manifest struct {
 	Tables   []TableManifest `json:"tables"`
 }
 
-// MaxRows returns the largest partition row count in the manifest, a cheap
-// proxy for restore skew.
-func (m *Manifest) MaxRows() uint64 {
-	var max uint64
-	for _, t := range m.Tables {
-		for _, p := range t.Parts {
-			if p.Rows > max {
-				max = p.Rows
-			}
-		}
-	}
-	return max
-}
-
 // partWriter streams rows into one partition file, tracking the running CRC
-// and counters recorded in the manifest. Writes go through a faultFile so
-// injected crashes can tear a partition.
+// and counters recorded in the manifest. On a store with a fault registry
+// the file is a wal.FaultFile, so an injected kill can tear a partition.
 type partWriter struct {
-	f       *os.File
+	f       wal.File
 	bw      *bufio.Writer
 	crc     uint32
 	rows    uint64
@@ -75,12 +63,12 @@ type partWriter struct {
 }
 
 func newPartWriter(s *Store, path string) (*partWriter, error) {
-	f, err := os.Create(path)
+	f, err := s.createPart(path)
 	if err != nil {
 		return nil, err
 	}
 	p := &partWriter{f: f}
-	p.bw = bufio.NewWriterSize(&faultFile{s: s, f: f, point: FaultPartWrite}, 64<<10)
+	p.bw = bufio.NewWriterSize(f, 64<<10)
 	if _, err := p.bw.WriteString(partMagic); err != nil {
 		f.Close()
 		return nil, err
@@ -105,18 +93,15 @@ func (p *partWriter) add(key uint64, payload []byte) error {
 }
 
 // finish flushes, fsyncs and closes the file, returning the manifest entry
-// fields. On a frozen store the flush silently discards; the manifest never
-// publishes in that case, so the stale values are harmless.
-func (p *partWriter) finish(s *Store) (rows, bytes uint64, crc uint32, err error) {
+// fields.
+func (p *partWriter) finish() (rows, bytes uint64, crc uint32, err error) {
 	if err := p.bw.Flush(); err != nil {
 		p.f.Close()
 		return 0, 0, 0, err
 	}
-	if !s.Frozen() {
-		if err := p.f.Sync(); err != nil {
-			p.f.Close()
-			return 0, 0, 0, err
-		}
+	if err := p.f.Sync(); err != nil {
+		p.f.Close()
+		return 0, 0, 0, err
 	}
 	if err := p.f.Close(); err != nil {
 		return 0, 0, 0, err

@@ -4,12 +4,11 @@
 // stable timestamp. Package recovery consumes the same store to restore
 // checkpoint partitions in parallel and replay only the log tail.
 //
-// The store doubles as the crash-injection surface: a wal.Faults registry
-// can arm named fault points (torn batch write, freeze between flush and
-// ack, partial partition write, crash before the manifest pointer flips),
-// and once any fault fires the store freezes — every subsequent write is
-// silently discarded, which models a killed process whose acknowledgements
-// after the crash point never happened. See docs/durability.md.
+// The store doubles as the crash-injection surface: with a wal.Faults
+// registry in StoreOptions, every file it writes goes through a
+// wal.FaultFile, and a fault that crashes the process latches the store
+// with wal.ErrCrashed, so every later write, sync and checkpoint step fails
+// instead of acknowledging anything. See docs/durability.md.
 package ckpt
 
 import (
@@ -22,42 +21,29 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/wal"
 )
 
-// Fault points understood by the store. Arm them on the wal.Faults registry
-// passed to SetFaults. The names are aliases into the central fault-point
-// registry (wal/faults.go, enforced by mvlint's faultpoint analyzer).
+// The checkpoint's fault points. Arm them on the registry in StoreOptions.
+// The names are aliases into the central fault-point registry (wal/faults.go,
+// enforced by mvlint's faultpoint analyzer).
 const (
-	// FaultWALTear tears a group-commit batch mid-write: a prefix of the
-	// batch reaches the segment, then the store freezes. The tail of the
-	// batch — typically mid-record — is the torn tail recovery tolerates.
-	FaultWALTear = wal.FaultWALTear
-	// FaultWALFreeze freezes after a batch fully reaches the segment: the
-	// kill lands between the flush and later commit acknowledgements.
-	FaultWALFreeze = wal.FaultWALFreeze
-	// FaultPartWrite tears a checkpoint partition write and freezes: a crash
-	// mid-checkpoint, before the manifest exists.
+	// FaultPartWrite kills the process mid-write on a checkpoint partition
+	// file, before the manifest exists. Only partition files count it.
 	FaultPartWrite = wal.FaultCkptPartition
-	// FaultManifest freezes after the manifest file is written but before
-	// CURRENT flips to it: the checkpoint is complete on disk yet invisible,
-	// so recovery uses the previous checkpoint (or none).
+	// FaultManifest kills the process after the manifest file is written but
+	// before CURRENT flips to it: the checkpoint is complete on disk yet
+	// invisible, so recovery uses the previous checkpoint (or none).
 	FaultManifest = wal.FaultCkptManifest
 )
 
-// ErrFrozen is returned by operations refused because the store froze at an
-// injected crash point.
-var ErrFrozen = fmt.Errorf("ckpt: store frozen (simulated crash)")
-
-// StoreOptions selects how live segments are opened.
+// StoreOptions selects how the store's files are opened.
 type StoreOptions struct {
-	// Faults, when non-nil, wraps live segments in a wal.FaultFile driven by
-	// this registry: the byte-granularity fault model (write errors, short
-	// writes, ENOSPC, fsync errors, power loss) used by the sync-commit
-	// crash suites. Store-level freeze faults (SetFaults) are independent
-	// and may share the same registry.
+	// Faults, when non-nil, is the crash-injection registry: live segments
+	// are wrapped in a wal.FaultFile (file.*, wal.tear, wal.freeze),
+	// partition files in a wal.NewKillFile (FaultPartWrite), and the store
+	// fires FaultManifest itself.
 	Faults *wal.Faults
 }
 
@@ -66,15 +52,12 @@ type StoreOptions struct {
 // core.Config.LogSink), checkpoint directories, and a CURRENT pointer naming
 // the latest published checkpoint.
 type Store struct {
-	dir    string
-	opts   StoreOptions
-	faults *wal.Faults
+	dir  string
+	opts StoreOptions
 
 	mu        sync.Mutex
-	frozen    atomic.Bool
-	err       error // first latched write/fsync failure; never cleared
+	err       error // first latched write/fsync failure or crash; never cleared
 	seg       wal.File
-	segFault  *wal.FaultFile // seg's fault wrapper when opts.Faults != nil
 	segPath   string
 	segSize   int64 // bytes successfully handed to the live segment
 	segSynced int64 // live-segment fsync barrier (bytes known durable)
@@ -119,9 +102,6 @@ func OpenStoreWith(dir string, opts StoreOptions) (*Store, error) {
 	return s, nil
 }
 
-// SetFaults attaches a crash-injection registry. Call before any load runs.
-func (s *Store) SetFaults(f *wal.Faults) { s.faults = f }
-
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
@@ -136,17 +116,14 @@ func (s *Store) openSegmentLocked() error {
 		return err
 	}
 	var seg wal.File = f
-	var segFault *wal.FaultFile
 	if s.opts.Faults != nil {
-		segFault = wal.NewFaultFile(f, s.opts.Faults)
-		seg = segFault
+		seg = wal.NewFaultFile(f, s.opts.Faults)
 	}
 	if _, err := seg.Write(wal.SegmentHeader()); err != nil {
 		seg.Close()
 		return err
 	}
 	s.seg = seg
-	s.segFault = segFault
 	s.segSize = int64(len(wal.SegmentHeader()))
 	s.segSynced = s.segSize
 	return syncDir(s.dir)
@@ -154,33 +131,12 @@ func (s *Store) openSegmentLocked() error {
 
 // Write appends one group-commit batch to the live segment (io.Writer for
 // wal.Log). Batches never straddle segments: rotation only happens between
-// Write calls, under the same mutex. A frozen store reports success and
-// discards the bytes — the modelled process is dead; nothing it "wrote"
-// after the crash point exists.
+// Write calls, under the same mutex. A latched store refuses the batch.
 func (s *Store) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.frozen.Load() {
-		return len(p), nil
-	}
 	if err := s.err; err != nil {
 		return 0, err
-	}
-	if s.faults.Fire(FaultWALTear) {
-		n := len(p) / 2
-		if n == 0 && len(p) > 0 {
-			n = 1
-		}
-		s.seg.Write(p[:n])
-		s.latchLocked(s.seg.Sync())
-		s.frozen.Store(true)
-		return len(p), nil
-	}
-	if s.faults.Fire(FaultWALFreeze) {
-		s.seg.Write(p)
-		s.latchLocked(s.seg.Sync())
-		s.frozen.Store(true)
-		return len(p), nil
 	}
 	before := s.segSize
 	n, err := s.seg.Write(p)
@@ -192,9 +148,10 @@ func (s *Store) Write(p []byte) (int, error) {
 		// them even though the engine aborted them and told the clients so.
 		// Roll the segment back to the batch boundary: the store is latched,
 		// nothing writes after this, and the disk again holds exactly the
-		// acknowledged records. A power loss is different — the process
-		// modelled here is dead and cleans up nothing, so the torn tail
-		// stays for recovery's torn-tail reader (and markers) to resolve.
+		// acknowledged records. A crash (power loss or process kill) is
+		// different — the process modelled here is dead and cleans up
+		// nothing, so whatever of the batch landed stays for recovery's
+		// torn-tail reader (and markers) to resolve.
 		if !errors.Is(err, wal.ErrCrashed) {
 			s.rollbackLocked(before)
 		}
@@ -207,15 +164,10 @@ func (s *Store) Write(p []byte) (int, error) {
 // hook wal.Log calls at Fsync durability. A latched failure is returned
 // without touching the file again: after a failed fsync the kernel may have
 // dropped the dirty pages and cleared its error state, so a retry would
-// falsely succeed (fsyncgate). A frozen store reports success, matching
-// its Write contract (the modelled process is dead; nothing it observed
-// after the crash point happened).
+// falsely succeed (fsyncgate).
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.frozen.Load() {
-		return nil
-	}
 	if err := s.err; err != nil {
 		return err
 	}
@@ -270,9 +222,9 @@ func (s *Store) latch(err error) {
 	s.mu.Unlock()
 }
 
-// Err returns the first latched write or fsync failure, or nil. A non-nil
-// Err means the store can no longer promise durability; the checkpointer's
-// health API surfaces it.
+// Err returns the first latched write or fsync failure or injected crash
+// (wal.ErrCrashed), or nil. A non-nil Err means the store can no longer
+// promise durability; the checkpointer's health API surfaces it.
 func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -286,9 +238,6 @@ func (s *Store) Err() error {
 func (s *Store) Rotate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.frozen.Load() {
-		return nil
-	}
 	if err := s.err; err != nil {
 		return err
 	}
@@ -309,56 +258,31 @@ func (s *Store) Rotate() error {
 	return nil
 }
 
-// Freeze stops all future writes, modelling the crash instant. Load workers
-// poll Frozen after each commit: an acknowledgement observed after the
-// freeze may or may not be durable.
-func (s *Store) Freeze() { s.frozen.Store(true) }
-
-// Frozen reports whether the store froze.
-func (s *Store) Frozen() bool { return s.frozen.Load() }
-
-// Close fsyncs and closes the live segment. A frozen store's segment is
-// closed without syncing (the sync would model I/O the dead process never
-// issued; the bytes already written remain readable). A sync failure at
-// close is latched and reported like any other — silently dropping it is
-// the fsyncgate mistake.
+// Close fsyncs and closes the live segment. A latched store's segment is
+// closed without syncing (after a crash the sync would model I/O the dead
+// process never issued; the bytes already written remain readable). A sync
+// failure at close is latched and reported like any other — silently
+// dropping it is the fsyncgate mistake.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.seg == nil {
 		return nil
 	}
-	if !s.frozen.Load() && s.err == nil {
+	if s.err == nil {
 		s.latchLocked(s.seg.Sync())
 	}
 	err := s.seg.Close()
 	s.seg = nil
-	s.segFault = nil
 	if err == nil {
 		err = s.err
 	}
 	return err
 }
 
-// Crash simulates a power loss on the live segment: at most keep bytes past
-// the last fsync barrier survive, the rest are discarded, and every later
-// segment operation fails with wal.ErrCrashed. Only available on stores
-// opened with StoreOptions.Faults (the byte-granularity crash model); it
-// replaces Freeze for the sync-commit suites, where an acknowledgement must
-// imply the bytes sit at or below the barrier.
-func (s *Store) Crash(keep int64) error {
-	s.mu.Lock()
-	ff := s.segFault
-	s.mu.Unlock()
-	if ff == nil {
-		return fmt.Errorf("ckpt: Crash requires StoreOptions.Faults")
-	}
-	return ff.Crash(keep)
-}
-
 // ChopTail truncates the live segment by n bytes: the "drop tail bytes"
 // crash. It acts directly on the file — harness scalpel, not a store write —
-// so it works on a frozen store.
+// so it works on a closed or latched store.
 func (s *Store) ChopTail(n int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -402,8 +326,8 @@ func (s *Store) SegmentPaths() ([]string, error) {
 // renames and removals are durable. It returns the number of log bytes
 // reclaimed.
 func (s *Store) CompactBelow(stable uint64) (int64, error) {
-	if s.frozen.Load() {
-		return 0, ErrFrozen
+	if err := s.Err(); err != nil {
+		return 0, err
 	}
 	paths, err := s.SegmentPaths()
 	if err != nil {
@@ -500,40 +424,38 @@ func (s *Store) nextCkptSeq() uint64 {
 	return s.ckptSeq
 }
 
-// faultFile routes a checkpoint file's writes through the store's
-// freeze/fault state so a crash can land mid-partition.
-type faultFile struct {
-	s     *Store
-	f     *os.File
-	point string
+// createPart creates a checkpoint partition file. On a store with a fault
+// registry it is a wal.FaultFile whose only fault is the FaultPartWrite kill.
+func (s *Store) createPart(path string) (wal.File, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if s.opts.Faults != nil {
+		return wal.NewKillFile(f, s.opts.Faults, FaultPartWrite), nil
+	}
+	return f, nil
 }
 
-func (w *faultFile) Write(p []byte) (int, error) {
-	if w.s.frozen.Load() {
-		return len(p), nil
+// latchCrash latches err when it is an injected crash of a checkpoint file,
+// so the store refuses every later step as it does after a crash of the
+// live segment. It returns err.
+func (s *Store) latchCrash(err error) error {
+	if errors.Is(err, wal.ErrCrashed) {
+		s.latch(err)
 	}
-	if w.s.faults.Fire(w.point) {
-		n := len(p) / 2
-		if n == 0 && len(p) > 0 {
-			n = 1
-		}
-		w.f.Write(p[:n])
-		w.s.latch(w.f.Sync())
-		w.s.Freeze()
-		return len(p), nil
-	}
-	return w.f.Write(p)
+	return err
 }
 
 // publishCheckpoint writes the manifest into the checkpoint directory and
 // flips CURRENT to it. Both steps are write-temp-then-rename followed by a
 // sync of the renamed file's directory, so CURRENT always names a directory
 // whose manifest is complete and durable, and the flip itself is durable
-// before log truncation starts. The FaultManifest point freezes between the
-// two renames, leaving a complete but unpublished checkpoint.
+// before log truncation starts. The FaultManifest point kills the process
+// between the two renames, leaving a complete but unpublished checkpoint.
 func (s *Store) publishCheckpoint(dirName string, man *Manifest) error {
-	if s.frozen.Load() {
-		return ErrFrozen
+	if err := s.Err(); err != nil {
+		return err
 	}
 	raw, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
@@ -543,12 +465,11 @@ func (s *Store) publishCheckpoint(dirName string, man *Manifest) error {
 	if err := s.writeFileSync(manPath, raw); err != nil {
 		return err
 	}
-	if s.faults.Fire(FaultManifest) {
-		s.Freeze()
-		return ErrFrozen
+	if s.opts.Faults.Fire(FaultManifest) {
+		s.latch(wal.ErrCrashed)
 	}
-	if s.frozen.Load() {
-		return ErrFrozen
+	if err := s.Err(); err != nil {
+		return err
 	}
 	return s.writeFileSync(filepath.Join(s.dir, "CURRENT"), []byte(dirName+"\n"))
 }
@@ -595,11 +516,10 @@ var syncDir = func(dir string) error {
 
 // syncDirLatched syncs dir and latches a failure like a failed fsync: the
 // store can no longer promise that its namespace matches what it
-// acknowledged. A frozen store reports success (the modelled process is
-// dead).
+// acknowledged. A latched store returns its error without syncing.
 func (s *Store) syncDirLatched(dir string) error {
-	if s.frozen.Load() {
-		return nil
+	if err := s.Err(); err != nil {
+		return err
 	}
 	err := syncDir(dir)
 	s.latch(err)

@@ -403,10 +403,6 @@ var readOnlyOption TxOption = func(o txOptions) txOptions { o.readOnly = true; r
 // is overridden.
 func WithReadOnly() TxOption { return readOnlyOption }
 
-// ErrUnsupported is returned for operations the backing engine cannot
-// perform.
-var ErrUnsupported = errors.New("core: operation unsupported by engine")
-
 // ErrUnordered is returned when ScanRange is called on an index that was
 // not declared Ordered in its IndexSpec.
 var ErrUnordered = storage.ErrUnordered

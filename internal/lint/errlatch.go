@@ -69,7 +69,7 @@ func latchedErrorMethod(fn *types.Func) bool {
 		return false
 	}
 	// Only methods that actually return an error are in scope (e.g.
-	// ckpt.Store.Freeze returns nothing and is fine to call bare).
+	// ckpt.Store.Dir returns none and is fine to call bare).
 	res := sig.Results()
 	returnsErr := false
 	for i := 0; i < res.Len(); i++ {

@@ -13,15 +13,15 @@ import (
 // inside the durability code — is declared in the single central
 // //mvlint:faultregistry const block (wal/faults.go).
 //
-// The crash suites (PR 6's freeze model, PR 7's byte-granularity disk
-// faults) only prove anything when the armed point and the firing point
-// agree on a string: a typo'd name arms a fault that never fires, and the
+// The crash suites (every fault injected through wal.FaultFile and the
+// checkpoint store) only prove anything when the armed point and the firing
+// point agree on a string: a typo'd name arms a fault that never fires, and the
 // scenario silently degenerates to a no-crash run that still passes. With
 // this rule, a name outside the registry cannot reach the registry's API.
 //
 // Non-test files are checked with full type information (any constant
 // expression is resolved to its value, so aliases like
-// ckpt.FaultWALTear = wal.FaultWALTear pass). Test files are scanned
+// ckpt.FaultManifest = wal.FaultCkptManifest pass). Test files are scanned
 // syntactically — string literals passed to .Arm/.Fire/.Disarm must be
 // registry values verbatim. Dynamically computed names (a string flowing
 // through a struct field) are out of the rule's reach and are not flagged;

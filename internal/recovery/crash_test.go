@@ -1,20 +1,27 @@
 package recovery_test
 
 // The crash-injection suite: concurrent serializable workloads on all three
-// engines are killed at seeded fault points — a torn group-commit batch, a
-// freeze between flush and commit acknowledgement, a crash mid-checkpoint-
-// partition, a crash after the manifest but before CURRENT flips, and a
-// chopped log tail — then recovered from the surviving checkpoint + log and
-// validated with the range-aware history checker.
+// engines run into one fault each and are recovered from the surviving
+// checkpoint + log, then validated with the range-aware history checker.
+// Every fault is injected through the store's one crash model
+// (ckpt.StoreOptions.Faults, docs/durability.md): at the Flush durability
+// level, process kills on the live segment (a torn batch, a whole batch whose
+// committers are refused), in the middle of a checkpoint partition file and
+// between the manifest and the CURRENT flip; at the Fsync level, the disk's
+// byte-granularity faults (write error, short write, ENOSPC, failed fsync,
+// power loss). Both levels also run a chopped log tail.
 //
 // Every transaction inserts a unique marker row in a dedicated table in the
-// same transaction as its data operations. A transaction whose commit
-// acknowledgement raced the crash has an unknown outcome; because the log
-// record (and the checkpoint) are atomic per transaction, the marker's
-// presence in the recovered database decides it: marker present <=> the
-// whole transaction is durable. The recovered history — definite commits,
-// plus unknowns resolved durable, plus one final transaction reading
-// everything back — must be serializable against the initial state.
+// same transaction as its data operations. Because the log record (and the
+// checkpoint) are atomic per transaction, the marker's presence in the
+// recovered database decides whether the whole transaction is durable. A
+// commit that returned nil is a promise: it MUST survive recovery, except
+// under "chop", which deliberately destroys acknowledged tail bytes. A commit
+// the log refused must NOT survive — except where the scenario lets the
+// refused batch's bytes land (a process kill mid-batch or after it, a power
+// loss mid-cleanup); there the marker decides. The recovered history —
+// surviving commits plus one final transaction reading everything back —
+// must be serializable against the initial state.
 
 import (
 	"math/rand"
@@ -47,13 +54,64 @@ var crashIndexers = map[string]check.IndexKeyFn{
 	},
 }
 
-// outcome is one committed-as-far-as-we-know transaction: its recorded
-// footprint, its marker key, and whether the commit acknowledgement was
-// observed strictly before the crash.
+// outcome is one transaction whose commit reached the log: its recorded
+// footprint and its marker key.
 type outcome struct {
-	h        check.Txn
-	marker   uint64
-	definite bool
+	h      check.Txn
+	marker uint64
+}
+
+// crashScenario is one row of the crash suite. The fault is armed on the
+// store's registry after the initial load and first checkpoint; after is its
+// countdown in Fire calls (on the live segment for wal.* and file.* points,
+// on partition files for ckpt.partition). "chop" arms nothing: the workload
+// completes and acknowledged tail bytes are destroyed before recovery.
+type crashScenario struct {
+	durability core.Durability
+	name       string // the subtest name
+	point      string // the armed fault point; "" for chop
+	after      int
+	resurrect  bool // a refused commit may survive recovery
+}
+
+var crashScenarios = []crashScenario{
+	{core.DurabilityFlush, "wal.tear", wal.FaultWALTear, 5, true},
+	{core.DurabilityFlush, "wal.freeze", wal.FaultWALFreeze, 5, true},
+	{core.DurabilityFlush, "ckpt.partition", ckpt.FaultPartWrite, 1, false},
+	{core.DurabilityFlush, "ckpt.manifest", ckpt.FaultManifest, 0, false},
+	{core.DurabilityFlush, "chop", "", 0, false},
+	{core.DurabilityFsync, "powerloss", wal.FaultFileCrash, 9, true},
+	{core.DurabilityFsync, "syncerr", wal.FaultFileSyncErr, 5, false},
+	{core.DurabilityFsync, "enospc", wal.FaultFileENOSPC, 5, false},
+	{core.DurabilityFsync, "shortwrite", wal.FaultFileShortWrite, 5, false},
+	{core.DurabilityFsync, "writeerr", wal.FaultFileWriteErr, 5, false},
+	{core.DurabilityFsync, "chop", "", 0, false},
+}
+
+// TestCrashRecovery runs the process-kill scenarios at Flush durability.
+func TestCrashRecovery(t *testing.T) { runCrashScenarios(t, core.DurabilityFlush) }
+
+// TestSyncCommitCrashRecovery runs the disk-fault scenarios at Fsync
+// durability: the honesty test of the synchronous commit.
+func TestSyncCommitCrashRecovery(t *testing.T) { runCrashScenarios(t, core.DurabilityFsync) }
+
+func runCrashScenarios(t *testing.T, d core.Durability) {
+	schemes := []core.Scheme{core.SingleVersion, core.MVPessimistic, core.MVOptimistic}
+	if testing.Short() {
+		// One scheme still covers every fault's recovery path; the full
+		// scheme × fault matrix is the long-mode/CI sweep.
+		schemes = schemes[:1]
+	}
+	for _, scheme := range schemes {
+		for _, sc := range crashScenarios {
+			if sc.durability != d {
+				continue
+			}
+			t.Run(scheme.String()+"/"+sc.name, func(t *testing.T) {
+				runCrashScenario(t, scheme, sc)
+			})
+		}
+	}
 }
 
 func crashSchema(t *testing.T, db *core.Database) (rows, marks *core.Table) {
@@ -79,16 +137,17 @@ func crashSpecs(rows, marks *core.Table) []ckpt.TableSpec {
 	}
 }
 
-func runCrashScenario(t *testing.T, scheme core.Scheme, fault string) {
+func runCrashScenario(t *testing.T, scheme core.Scheme, sc crashScenario) {
 	dir := t.TempDir()
-	store, err := ckpt.OpenStore(dir)
+	f := wal.NewFaults()
+	store, err := ckpt.OpenStoreWith(dir, ckpt.StoreOptions{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}
 	db, err := core.Open(core.Config{
 		Scheme:      scheme,
 		LogSink:     store,
-		Durability:  core.DurabilityFlush,
+		Durability:  sc.durability,
 		LockTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -119,26 +178,20 @@ func runCrashScenario(t *testing.T, scheme core.Scheme, fault string) {
 		t.Fatal(err)
 	}
 
-	f := wal.NewFaults()
-	switch fault {
-	case "wal.tear":
-		f.Arm(ckpt.FaultWALTear, 5)
-	case "wal.freeze":
-		f.Arm(ckpt.FaultWALFreeze, 5)
-	case "ckpt.partition":
-		f.Arm(ckpt.FaultPartWrite, 1)
-	case "ckpt.manifest":
-		f.Arm(ckpt.FaultManifest, 0)
-	case "chop":
-		// No armed fault: a manual freeze, then tail bytes dropped.
-	default:
-		t.Fatalf("unknown fault %q", fault)
+	// Arm the fault only now: the load and the first checkpoint ran on a
+	// healthy store, the workload below runs into the fault.
+	if sc.point != "" {
+		f.Arm(sc.point, sc.after)
 	}
-	store.SetFaults(f)
 
+	// Acked: Commit returned nil — definite, MUST survive. Refused: the log
+	// refused a commit that had drawn its end timestamp; it must not survive
+	// unless sc.resurrect, and then its marker places it in the history.
 	var (
 		mu       sync.Mutex
-		outcomes []outcome
+		acked    []outcome
+		refused  []outcome
+		attempts int
 	)
 	var wg sync.WaitGroup
 	for w := 0; w < crashWorkers; w++ {
@@ -146,35 +199,40 @@ func runCrashScenario(t *testing.T, scheme core.Scheme, fault string) {
 		go func(id int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(id)*7919 + 1))
-			for i := 0; i < crashTxns && !store.Frozen(); i++ {
+			for i := 0; i < crashTxns && db.Degraded() == nil; i++ {
 				marker := uint64(id+1)<<40 | uint64(i)
 				h, ok := runCrashTxn(db, rows, marks, rng, marker)
-				if !ok {
-					continue
-				}
 				mu.Lock()
-				outcomes = append(outcomes, outcome{h: h, marker: marker, definite: !store.Frozen()})
+				attempts++
+				switch {
+				case ok:
+					acked = append(acked, outcome{h: h, marker: marker})
+				case h.EndTS != 0 && len(h.Writes) > 0:
+					refused = append(refused, outcome{h: h, marker: marker})
+				}
 				mu.Unlock()
 			}
 		}(w)
 	}
 
 	// Mid-workload checkpoints: the vehicle for the ckpt.* faults, and for
-	// the others a live streaming checkpoint racing the crash.
-	for i := 0; i < 20 && !store.Frozen(); i++ {
+	// the others a live streaming checkpoint racing the crash. Errors (lock
+	// timeouts, the injected crash) are part of the scenario.
+	for i := 0; i < 20 && db.Degraded() == nil; i++ {
 		time.Sleep(2 * time.Millisecond)
-		cp.Run() // errors (lock timeouts, injected freeze) are part of the scenario
-	}
-	if fault == "chop" {
-		store.Freeze()
+		cp.Run()
 	}
 	wg.Wait()
-	if !store.Frozen() {
-		t.Fatalf("fault %s never fired", fault)
+	if sc.point != "" {
+		if store.Err() == nil {
+			t.Fatalf("fault %s never fired (%d commits attempted)", sc.name, attempts)
+		}
+	} else if err := store.Err(); err != nil {
+		t.Fatalf("chop scenario failed before the chop: %v", err)
 	}
-	db.Close()
+	db.Close() // flushes; after a crash the close error is the latched fault
 	store.Close()
-	if fault == "chop" {
+	if sc.point == "" {
 		if err := store.ChopTail(13); err != nil {
 			t.Fatal(err)
 		}
@@ -196,36 +254,52 @@ func runCrashScenario(t *testing.T, scheme core.Scheme, fault string) {
 	st, err := recovery.Recover(db2, recovery.TableSet{"rows": rows2, "marks": marks2},
 		store2, recovery.Options{Workers: 4})
 	if err != nil {
-		t.Fatalf("recovery after %s: %v", fault, err)
+		t.Fatalf("recovery after %s: %v", sc.name, err)
 	}
 
-	// Resolve outcomes by marker presence, build the durable history.
+	// The acceptance gates: every acknowledged commit is present (chop is
+	// exempt; its survivors still join the history), and a refused commit
+	// is absent unless the scenario lets it resurrect.
 	var history []check.Txn
 	var maxEnd uint64
+	lost, resurrected := 0, 0
 	rtx := db2.Begin(core.WithIsolation(core.SnapshotIsolation))
-	for _, o := range outcomes {
-		_, durable, err := rtx.Lookup(marks2, 0, o.marker, nil)
+	// survived reports whether o's marker was recovered, and if so adds o
+	// to the history.
+	survived := func(o outcome) bool {
+		_, ok, err := rtx.Lookup(marks2, 0, o.marker, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if o.definite && !durable && fault != "chop" {
-			// ChopTail deliberately destroys acknowledged bytes; every other
-			// scenario promised durability for acknowledged commits.
-			t.Errorf("%s: definite txn@%d (marker %#x) lost by recovery", fault, o.h.EndTS, o.marker)
-		}
-		if durable {
+		if ok {
 			history = append(history, o.h)
-			if o.h.EndTS > maxEnd {
-				maxEnd = o.h.EndTS
+			maxEnd = max(maxEnd, o.h.EndTS)
+		}
+		return ok
+	}
+	for _, o := range acked {
+		if !survived(o) {
+			lost++
+			if sc.point != "" {
+				t.Errorf("%s: acknowledged txn@%d (marker %#x) lost by recovery",
+					sc.name, o.h.EndTS, o.marker)
+			}
+		}
+	}
+	for _, o := range refused {
+		if survived(o) {
+			resurrected++
+			if !sc.resurrect {
+				t.Errorf("%s: refused txn@%d (marker %#x) resurrected by recovery",
+					sc.name, o.h.EndTS, o.marker)
 			}
 		}
 	}
 	rtx.Commit()
 
-	// One final transaction reading everything back from the recovered
-	// database joins the history: if recovery lost, duplicated or reordered
-	// any durable effect, the checker sees it as a serializability
-	// violation of this read.
+	// One final transaction reads everything back; the checker treats any
+	// recovery loss, duplication or reordering as a serializability violation
+	// of this read.
 	final := check.Txn{EndTS: maxEnd + 1}
 	ftx := db2.Begin(core.WithIsolation(core.SnapshotIsolation))
 	for k := uint64(0); k < crashKeys; k++ {
@@ -256,17 +330,22 @@ func runCrashScenario(t *testing.T, scheme core.Scheme, fault string) {
 
 	if err := check.ValidateIndexed(initial, "rows", history, crashIndexers); err != nil {
 		t.Fatalf("%s on %s: recovered history not serializable: %v\nrecovery stats: %+v",
-			fault, scheme, err, st)
+			sc.name, scheme, err, st)
 	}
-	if len(history) < 2 {
-		t.Fatalf("%s: degenerate scenario, only %d durable transactions", fault, len(history))
+	if len(history) < 3 {
+		t.Fatalf("%s: degenerate scenario, only %d durable transactions (%d acked, %d lost)",
+			sc.name, len(history)-1, len(acked), lost)
 	}
+	t.Logf("%s on %s: %d attempted, %d acknowledged, %d refused, %d lost, %d resurrected, stats %+v",
+		sc.name, scheme, attempts, len(acked), len(refused), lost, resurrected, st)
 }
 
 // runCrashTxn executes one serializable workload transaction: a recorded
 // group scan, a recorded point read, one write (insert, update or delete),
-// and the marker insert. It returns the footprint and whether the commit
-// succeeded.
+// and the marker insert. It returns the footprint and whether the commit was
+// acknowledged. When the log refused the commit, the end timestamp CommitTS
+// drew travels back in h.EndTS, so a refused transaction that recovery
+// resurrects can be placed in the history.
 func runCrashTxn(db *core.Database, rows, marks *core.Table, rng *rand.Rand, marker uint64) (check.Txn, bool) {
 	tx := db.Begin(core.WithIsolation(core.Serializable))
 	var h check.Txn
@@ -331,27 +410,6 @@ func runCrashTxn(db *core.Database, rows, marks *core.Table, rng *rand.Rand, mar
 	h.Writes = append(h.Writes, check.Write{Table: "marks", Key: marker, Value: 1})
 
 	end, err := tx.CommitTS()
-	if err != nil || end == 0 {
-		return h, false
-	}
-	h.EndTS = end
-	return h, true
-}
-
-func TestCrashRecovery(t *testing.T) {
-	schemes := []core.Scheme{core.SingleVersion, core.MVPessimistic, core.MVOptimistic}
-	faults := []string{"wal.tear", "wal.freeze", "ckpt.partition", "ckpt.manifest", "chop"}
-	if testing.Short() {
-		// One scheme still covers every fault's recovery path; the full
-		// scheme × fault matrix is the long-mode/CI sweep.
-		schemes = schemes[:1]
-	}
-	for _, scheme := range schemes {
-		for _, fault := range faults {
-			scheme, fault := scheme, fault
-			t.Run(scheme.String()+"/"+fault, func(t *testing.T) {
-				runCrashScenario(t, scheme, fault)
-			})
-		}
-	}
+	h.EndTS = end // non-zero with an error ⇒ the log refused a drawn commit
+	return h, err == nil && end != 0
 }

@@ -10,10 +10,11 @@
 // committed history — reads, range scans through primary and statement
 // indexes, conservation of money, ledger referential integrity and
 // balanced per-transaction deltas. With Faults enabled, odd episodes run
-// against a durable store and are killed at a seeded fault point (torn
-// WAL batch, post-flush freeze, mid-checkpoint crash, manifest crash, or
-// a chopped log tail), recovered, and validated including commit-outcome
-// resolution by marker rows, exactly like the recovery crash suite.
+// against a durable store and are killed at a seeded fault point (a kill
+// mid-batch or just after one, mid-checkpoint-partition, or between the
+// manifest and CURRENT, or a chopped log tail), recovered, and validated
+// including commit-outcome resolution by marker rows, exactly like the
+// recovery crash suite.
 //
 // With Workers == 1 an episode is fully deterministic: the same seed
 // yields the same committed history (and the same HistoryHash), including
@@ -43,20 +44,20 @@ import (
 
 // marksTable holds one unique marker row per transaction, written in the
 // same transaction as the bank operations: after a crash, marker presence
-// decides an unknown commit outcome (marker durable <=> the whole
+// decides a refused commit's outcome (marker durable <=> the whole
 // transaction is durable). It also guarantees every transaction is a
 // writer, so every engine hands out a non-zero serialization stamp.
 const marksTable = "marks"
 
 // FaultChop is the one scenario that is not an armed fault point: the
-// store is frozen mid-workload and the log tail is chopped before
-// recovery, simulating destroyed acknowledged bytes.
+// workload stops mid-episode and the log tail is chopped before recovery,
+// simulating destroyed acknowledged bytes.
 const FaultChop = "chop"
 
 // faultMenu are the seeded crash scenarios of a faulted episode.
 var faultMenu = []string{
-	ckpt.FaultWALTear,
-	ckpt.FaultWALFreeze,
+	wal.FaultWALTear,
+	wal.FaultWALFreeze,
 	ckpt.FaultPartWrite,
 	ckpt.FaultManifest,
 	FaultChop,
@@ -258,7 +259,6 @@ type episode struct {
 	db    *core.Database
 	bank  *workload.Bank
 	marks *core.Table
-	store *ckpt.Store        // nil in clean episodes
 	cp    *ckpt.Checkpointer // nil in clean episodes
 }
 
@@ -303,7 +303,9 @@ func (e *episode) openSchema(db *core.Database) (*workload.Bank, *core.Table, er
 // idHi bounds the ledger/marker id space for checkpoint partitioning.
 func (e *episode) idHi() uint64 { return uint64(e.cfg.Workers+2) << 40 }
 
-// outcome is one committed-as-far-as-we-know transaction.
+// outcome is one transaction whose commit reached the log. It is definite
+// when the commit was acknowledged; a commit the log refused is not, and
+// its marker decides after recovery whether it survived.
 type outcome struct {
 	ft       check.Txn
 	marker   uint64
@@ -312,7 +314,10 @@ type outcome struct {
 
 // runTxn executes one bank transaction plus its marker insert. committed
 // reports whether the commit was acknowledged; a non-nil error is a
-// correctness failure (engine aborts return committed=false, err=nil).
+// correctness failure (engine aborts return committed=false, err=nil). When
+// the log refused the commit, the footprint carries the end timestamp the
+// commit drew, so a refused transaction that recovery resurrects can be
+// placed in the history.
 func (e *episode) runTxn(rng *rand.Rand, id uint64) (check.Txn, bool, error) {
 	tx := e.db.Begin(core.WithIsolation(core.Serializable))
 	ft, err := e.bank.RunTxn(tx, rng, id)
@@ -342,6 +347,7 @@ func (e *episode) runTxn(rng *rand.Rand, id uint64) (check.Txn, bool, error) {
 	ft.Writes = append(ft.Writes, check.Write{Table: marksTable, Key: id, Value: 1})
 	end, err := tx.CommitTS()
 	if err != nil {
+		ft.EndTS = end // non-zero: the log refused a drawn commit
 		return ft, false, nil
 	}
 	if end == 0 {
@@ -351,15 +357,14 @@ func (e *episode) runTxn(rng *rand.Rand, id uint64) (check.Txn, bool, error) {
 	return ft, true, nil
 }
 
-// runWorkers drives the per-episode transaction streams and collects
-// committed outcomes. With one worker it runs inline (deterministic),
-// interleaving checkpoints every few transactions in faulted episodes;
-// with more it spawns goroutines and checkpoints from the coordinator,
-// like the recovery crash suite.
+// runWorkers drives the per-episode transaction streams and collects the
+// outcomes of every commit that reached the log. With one worker it runs
+// inline (deterministic), interleaving checkpoints every few transactions
+// in faulted episodes; with more it spawns goroutines and checkpoints from
+// the coordinator, like the recovery crash suite. Either way the streams
+// stop once a crash has degraded the database.
 func (e *episode) runWorkers() ([]outcome, error) {
 	cfg := e.cfg
-	frozen := func() bool { return e.store != nil && e.store.Frozen() }
-
 	if cfg.Workers == 1 {
 		rng := rand.New(rand.NewSource(EpisodeSeed(e.seed, 1)))
 		ckptEvery := cfg.TxnsPerWorker / 5
@@ -371,11 +376,7 @@ func (e *episode) runWorkers() ([]outcome, error) {
 			chopAt = cfg.TxnsPerWorker / 2
 		}
 		var outs []outcome
-		for i := 0; i < cfg.TxnsPerWorker && !frozen(); i++ {
-			if i == chopAt {
-				e.store.Freeze()
-				break
-			}
+		for i := 0; i < cfg.TxnsPerWorker && i != chopAt && e.db.Degraded() == nil; i++ {
 			if e.cp != nil && i%ckptEvery == ckptEvery-1 {
 				_, _ = e.cp.Run() // checkpoint errors (injected faults) are the scenario
 				// Drain the checkpoint's async log record now: left pending,
@@ -389,8 +390,8 @@ func (e *episode) runWorkers() ([]outcome, error) {
 			if err != nil {
 				return outs, e.vio(err)
 			}
-			if committed {
-				outs = append(outs, outcome{ft: ft, marker: id, definite: !frozen()})
+			if committed || ft.EndTS != 0 {
+				outs = append(outs, outcome{ft: ft, marker: id, definite: committed})
 			}
 		}
 		return outs, nil
@@ -407,7 +408,7 @@ func (e *episode) runWorkers() ([]outcome, error) {
 		go func(worker int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(EpisodeSeed(e.seed, worker+1)))
-			for i := 0; i < cfg.TxnsPerWorker && !frozen(); i++ {
+			for i := 0; i < cfg.TxnsPerWorker && e.db.Degraded() == nil; i++ {
 				id := uint64(worker+1)<<40 | uint64(i)
 				ft, committed, err := e.runTxn(rng, id)
 				if err != nil {
@@ -418,25 +419,19 @@ func (e *episode) runWorkers() ([]outcome, error) {
 					mu.Unlock()
 					return
 				}
-				if committed {
+				if committed || ft.EndTS != 0 {
 					mu.Lock()
-					outs = append(outs, outcome{ft: ft, marker: id, definite: !frozen()})
+					outs = append(outs, outcome{ft: ft, marker: id, definite: committed})
 					mu.Unlock()
 				}
 			}
 		}(w)
 	}
-	if e.store != nil {
-		// Coordinator: live checkpoints racing the workload, and the manual
-		// freeze for the chop scenario.
-		for i := 0; i < 25 && !frozen(); i++ {
+	if e.cp != nil {
+		// Coordinator: live checkpoints racing the workload.
+		for i := 0; i < 25 && e.db.Degraded() == nil; i++ {
 			time.Sleep(2 * time.Millisecond)
-			if e.cp != nil {
-				_, _ = e.cp.Run() // errors (injected faults, lock timeouts) are the scenario
-			}
-		}
-		if e.fault == FaultChop && !frozen() {
-			e.store.Freeze()
+			_, _ = e.cp.Run() // errors (injected faults, lock timeouts) are the scenario
 		}
 	}
 	wg.Wait()
@@ -567,7 +562,8 @@ func (e *episode) runFaulted() (EpisodeResult, error) {
 	if err != nil {
 		return er, err
 	}
-	store, err := ckpt.OpenStore(dir)
+	f := wal.NewFaults()
+	store, err := ckpt.OpenStoreWith(dir, ckpt.StoreOptions{Faults: f})
 	if err != nil {
 		return er, err
 	}
@@ -596,34 +592,27 @@ func (e *episode) runFaulted() (EpisodeResult, error) {
 		return er, fmt.Errorf("pre-crash checkpoint: %w", err)
 	}
 
-	f := wal.NewFaults()
-	switch e.fault {
-	case ckpt.FaultPartWrite:
-		f.Arm(e.fault, e.countdown%3)
-	case ckpt.FaultManifest:
-		f.Arm(e.fault, 0)
-	case FaultChop:
-		// No armed point: manual freeze mid-workload, tail chopped below.
-	default:
-		f.Arm(e.fault, e.countdown)
-	}
 	// Drain any bytes still pending from the load and the pre-crash
 	// checkpoint before arming: the fault countdown must start from an
 	// empty pipeline or the crash point depends on flusher timing.
 	if err := db.WAL().Flush(); err != nil {
 		return er, err
 	}
-	store.SetFaults(f)
-	e.db, e.bank, e.marks, e.store, e.cp = db, bank, marks, store, cp
+	switch e.fault {
+	case ckpt.FaultPartWrite:
+		f.Arm(e.fault, e.countdown%3)
+	case ckpt.FaultManifest:
+		f.Arm(e.fault, 0)
+	case FaultChop:
+		// No armed point: the workload stops mid-episode, tail chopped below.
+	default:
+		f.Arm(e.fault, e.countdown)
+	}
+	e.db, e.bank, e.marks, e.cp = db, bank, marks, cp
 
 	outs, verr := e.runWorkers()
 	if verr != nil {
 		return e.result(outs, 0), verr
-	}
-	if !store.Frozen() {
-		// The fault never fired (short episode): crash at the end anyway so
-		// every faulted episode exercises recovery.
-		store.Freeze()
 	}
 	_ = db.Close()    // post-crash teardown: the latched fault error is expected
 	_ = store.Close() // ditto
@@ -656,7 +645,7 @@ func (e *episode) runFaulted() (EpisodeResult, error) {
 		return e.result(outs, 0), e.vio(fmt.Errorf("recovery failed: %w", err))
 	}
 
-	// Resolve unknown commit outcomes by marker presence.
+	// Resolve refused commit outcomes by marker presence.
 	var history []check.Txn
 	rtx := db2.Begin(core.WithIsolation(core.SnapshotIsolation))
 	var maxEnd uint64

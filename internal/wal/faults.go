@@ -21,7 +21,7 @@ type Faults struct {
 // enforces membership, so a typo'd point can never arm a fault that never
 // fires and silently turn a crash scenario into a no-crash run. When adding
 // a fault point, declare it in this block and reference the constant (or an
-// alias of it, like ckpt.FaultWALTear) at the arm/hit sites.
+// alias of it, like ckpt.FaultManifest) at the arm/hit sites.
 //
 //mvlint:faultregistry
 const (
@@ -46,18 +46,20 @@ const (
 	// then gone: every later operation returns ErrCrashed, so nothing can be
 	// acknowledged after the lights went out.
 	FaultFileCrash = "file.crash"
-	// FaultWALTear tears a group-commit batch mid-write in the checkpoint
-	// store's live segment: a prefix reaches the file, then the store
-	// freezes (see ckpt.FaultWALTear).
+	// FaultWALTear is a process kill mid-write on a live segment: half of
+	// the batch reaches the file, then the Write and every later operation
+	// fail with ErrCrashed. Unlike a power loss, every byte written before
+	// the kill survives, synced or not.
 	FaultWALTear = "wal.tear"
-	// FaultWALFreeze freezes the checkpoint store after a batch fully
-	// reaches the segment but before the commit is acknowledged.
+	// FaultWALFreeze is a process kill just after a batch's Write: the whole
+	// batch reaches the file, but the call fails with ErrCrashed, so no
+	// commit in it is acknowledged.
 	FaultWALFreeze = "wal.freeze"
-	// FaultCkptPartition tears a checkpoint partition-file write and
-	// freezes: a crash in the middle of checkpoint capture.
+	// FaultCkptPartition is a process kill mid-write on a checkpoint
+	// partition file (see NewKillFile): a crash during checkpoint capture.
 	FaultCkptPartition = "ckpt.partition"
-	// FaultCkptManifest freezes after the manifest file is written but
-	// before the CURRENT pointer flips to it.
+	// FaultCkptManifest is a process kill after a checkpoint's manifest is
+	// written but before the CURRENT pointer flips to it.
 	FaultCkptManifest = "ckpt.manifest"
 )
 

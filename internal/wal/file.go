@@ -30,7 +30,8 @@ type Backing interface {
 }
 
 // The FaultFile fault points (FaultFileWriteErr, FaultFileShortWrite,
-// FaultFileENOSPC, FaultFileSyncErr, FaultFileCrash) are declared in the
+// FaultFileENOSPC, FaultFileSyncErr, FaultFileCrash, FaultWALTear,
+// FaultWALFreeze and the kill point of a NewKillFile) are declared in the
 // central fault-point registry in faults.go. Arm them on the Faults registry
 // the FaultFile was built with; each fires at byte granularity inside a
 // single Write or Sync call.
@@ -40,29 +41,44 @@ type Backing interface {
 var ErrInjected = errors.New("wal: injected fault")
 
 // ErrCrashed is returned by every FaultFile operation after a simulated
-// power loss: the device is gone, nothing succeeds, nothing is acknowledged.
-var ErrCrashed = fmt.Errorf("wal: simulated power loss: %w", ErrInjected)
+// crash (power loss or process kill): nothing succeeds, nothing is
+// acknowledged.
+var ErrCrashed = fmt.Errorf("wal: simulated crash: %w", ErrInjected)
 
-// FaultFile wraps a Backing file and injects disk faults at byte
-// granularity, driven by the same Faults countdown registry the store-level
-// crash points use. It tracks two offsets: size (bytes handed to the
-// backing file) and synced (the last successful fsync barrier). Faults and
-// crashes only ever destroy bytes above the barrier — which is exactly the
-// honesty contract the Fsync durability level is tested against.
+// FaultFile wraps a Backing file and injects faults into its calls, driven
+// by a Faults countdown registry. It is the one crash model of the
+// durability layer: a fault either fails a single call (the file keeps
+// working) or crashes the file, after which every operation returns
+// ErrCrashed. It tracks two offsets: size (bytes handed to the backing
+// file) and synced (the last successful fsync barrier). A power loss
+// destroys bytes above the barrier; a process kill destroys nothing that
+// reached the file, synced or not.
 type FaultFile struct {
 	mu     sync.Mutex
 	f      Backing
 	faults *Faults
+	// kill, when set, is the file's only fault point: a process kill that
+	// lands half of the Write that fires it. A live segment leaves it empty
+	// and fires every other point.
+	kill   string
 	size   int64
 	synced int64
 	closed bool
 	crash  bool
 }
 
-// NewFaultFile wraps f. The registry may be shared with store-level fault
-// points; a nil registry yields a transparent pass-through.
+// NewFaultFile wraps a live log segment: the byte-granularity faults
+// (file.*) and the process kills wal.tear and wal.freeze fire in its calls.
+// A nil registry yields a transparent pass-through.
 func NewFaultFile(f Backing, faults *Faults) *FaultFile {
 	return &FaultFile{f: f, faults: faults}
+}
+
+// NewKillFile wraps a file whose only fault is a process kill at point (a
+// checkpoint partition file: ckpt.partition). Its calls leave the countdowns
+// of every other point alone.
+func NewKillFile(f Backing, faults *Faults, point string) *FaultFile {
+	return &FaultFile{f: f, faults: faults, kill: point}
 }
 
 // Write appends p, unless a fault fires inside it.
@@ -71,6 +87,19 @@ func (w *FaultFile) Write(p []byte) (int, error) {
 	defer w.mu.Unlock()
 	if w.crash {
 		return 0, ErrCrashed
+	}
+	if w.kill != "" {
+		if w.faults.Fire(w.kill) {
+			return w.killLocked(w.writePrefix(p))
+		}
+		return w.write(p)
+	}
+	if w.faults.Fire(FaultWALTear) {
+		return w.killLocked(w.writePrefix(p))
+	}
+	if w.faults.Fire(FaultWALFreeze) {
+		n, _ := w.write(p)
+		return w.killLocked(n)
 	}
 	if w.faults.Fire(FaultFileWriteErr) {
 		return 0, fmt.Errorf("write %s: %w", FaultFileWriteErr, ErrInjected)
@@ -91,12 +120,21 @@ func (w *FaultFile) Write(p []byte) (int, error) {
 		w.crashLocked((w.size - w.synced) / 2)
 		return 0, ErrCrashed
 	}
+	return w.write(p)
+}
+
+// write hands p to the backing file and counts what it took.
+func (w *FaultFile) write(p []byte) (int, error) {
 	n, err := w.f.Write(p)
 	w.size += int64(n)
-	if err != nil {
-		return n, err
-	}
-	return n, nil
+	return n, err
+}
+
+// killLocked ends the process mid-call: the n bytes the call wrote stay,
+// as does everything before them, and the call and every later one fail.
+func (w *FaultFile) killLocked(n int) (int, error) {
+	w.crash = true
+	return n, ErrCrashed
 }
 
 // writePrefix writes the first half of p (at least one byte when p is
@@ -118,14 +156,14 @@ func (w *FaultFile) Sync() error {
 	if w.crash {
 		return ErrCrashed
 	}
-	if w.faults.Fire(FaultFileSyncErr) {
+	if w.kill == "" && w.faults.Fire(FaultFileSyncErr) {
 		// fsyncgate: the failure is reported exactly once and the dirty
 		// pages are gone. The file remains usable — which is the trap: a
 		// retried fsync here would succeed and prove nothing.
 		w.discardTo(w.synced)
 		return fmt.Errorf("sync %s: %w", FaultFileSyncErr, ErrInjected)
 	}
-	if w.faults.Fire(FaultFileCrash) {
+	if w.kill == "" && w.faults.Fire(FaultFileCrash) {
 		w.crashLocked(0)
 		return ErrCrashed
 	}

@@ -1,8 +1,8 @@
 package wal
 
-// The FaultFile fault matrix: each test injects one byte-granularity disk
-// fault into a segment being written through a FaultFile and asserts the
-// reader-side policy holds — torn tails (unsynced bytes destroyed at any
+// The FaultFile fault matrix: each test injects one fault (a byte-granularity
+// disk fault or a process kill) into a segment being written through a
+// FaultFile and asserts the reader-side policy holds — torn tails (unsynced bytes destroyed at any
 // offset) decode to the well-formed prefix with the loss counted, and a CRC
 // mismatch inside the stream still fails hard with ErrCorrupt.
 
@@ -277,5 +277,88 @@ func TestCorruptionStillFailsHard(t *testing.T) {
 	_, err = ReadAll(f)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("ReadAll = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestFaultFileProcessKill: wal.tear lands half of the Write that fires it
+// and wal.freeze all of it; either way the call fails with ErrCrashed and
+// so does every later one, and — unlike a power loss — every byte written
+// before the kill survives, unsynced ones included.
+func TestFaultFileProcessKill(t *testing.T) {
+	for _, tc := range []struct {
+		point string
+		recs  int // records decodable after the kill
+	}{
+		{FaultWALTear, 2},
+		{FaultWALFreeze, 3},
+	} {
+		t.Run(tc.point, func(t *testing.T) {
+			faults := NewFaults()
+			ff, path := newFaultSegment(t, faults)
+			if _, err := ff.Write(frame(t, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ff.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ff.Write(frame(t, 2)); err != nil { // never synced
+				t.Fatal(err)
+			}
+			before, _ := ff.Offsets()
+			faults.Arm(tc.point, 0)
+			fr := frame(t, 3)
+			n, err := ff.Write(fr)
+			if !errors.Is(err, ErrCrashed) || n == 0 || n > len(fr) {
+				t.Fatalf("Write = (%d, %v), want a landed prefix and ErrCrashed", n, err)
+			}
+			if size, _ := ff.Offsets(); size != before+int64(n) {
+				t.Fatalf("size after the kill = %d, want %d: the kill must keep every written byte", size, before+int64(n))
+			}
+			if _, err := ff.Write(frame(t, 4)); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("Write after the kill = %v, want ErrCrashed", err)
+			}
+			if err := ff.Sync(); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("Sync after the kill = %v, want ErrCrashed", err)
+			}
+			ff.Close()
+			if recs, _ := readSegment(t, path); len(recs) != tc.recs {
+				t.Fatalf("recovered %d records, want %d", len(recs), tc.recs)
+			}
+		})
+	}
+}
+
+// TestFaultFileKillFile: a kill file fires only its own point. An armed
+// file.* point keeps its countdown for the live segment, and the kill tears
+// the Write that fires it.
+func TestFaultFileKillFile(t *testing.T) {
+	faults := NewFaults()
+	path := filepath.Join(t.TempDir(), "part")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kf := NewKillFile(f, faults, FaultCkptPartition)
+	defer kf.Close()
+	faults.Arm(FaultFileWriteErr, 0)
+	faults.Arm(FaultFileSyncErr, 0)
+	if _, err := kf.Write([]byte("abcd")); err != nil {
+		t.Fatalf("Write = %v: a kill file must not fire file.* points", err)
+	}
+	if err := kf.Sync(); err != nil {
+		t.Fatalf("Sync = %v: a kill file must not fire file.* points", err)
+	}
+	if !faults.Fire(FaultFileWriteErr) || !faults.Fire(FaultFileSyncErr) {
+		t.Fatal("the kill file consumed a file.* countdown")
+	}
+	faults.Arm(FaultCkptPartition, 0)
+	if n, err := kf.Write([]byte("efgh")); n != 2 || !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Write = (%d, %v), want (2, ErrCrashed)", n, err)
+	}
+	if err := kf.Sync(); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Sync after the kill = %v, want ErrCrashed", err)
+	}
+	if raw, err := os.ReadFile(path); err != nil || string(raw) != "abcdef" {
+		t.Fatalf("file = %q, %v; want \"abcdef\"", raw, err)
 	}
 }
