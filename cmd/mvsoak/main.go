@@ -84,8 +84,8 @@ func main() {
 			}
 		}
 		res, err := soak.Run(cfg)
-		fmt.Printf("mvsoak: engine=%s episodes=%d commits=%d aborts=%d hash=%016x\n",
-			soak.EngineFlag(scheme), res.Episodes, res.Commits, res.Aborts, res.Hash)
+		fmt.Printf("mvsoak: engine=%s episodes=%d commits=%d aborts=%d unrun=%d hash=%016x\n",
+			soak.EngineFlag(scheme), res.Episodes, res.Commits, res.Aborts, res.Unrun, res.Hash)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mvsoak: FAIL (seed %d): %v\n", *seed, err)
 			exit = 1

@@ -10,18 +10,19 @@ import (
 
 // TestRowFootprint pins what one loaded row costs in live heap, per scheme:
 // the paper's 24-byte row in a hash table sized to the row count. An MV row
-// is one 128-byte version (payload inline) plus its 24-byte hash bucket, 152
+// is one 128-byte version (payload inline) plus its 16-byte hash bucket, 144
 // bytes; a 1V row is one 96-byte record, the 24-byte payload it retains and
-// its 40-byte bucket with the key lock, 160 bytes. A field that pushes
-// either row format into the next size class fails here.
+// its 16-byte bucket with the key lock, 136 bytes. A field that pushes
+// either row format into the next size class, or a bucket past 16 bytes,
+// fails here.
 func TestRowFootprint(t *testing.T) {
 	const rows = 1 << 16
 	for _, c := range []struct {
 		scheme core.Scheme
 		max    float64 // bytes per row
 	}{
-		{core.MVOptimistic, 160},
-		{core.SingleVersion, 168},
+		{core.MVOptimistic, 152},
+		{core.SingleVersion, 144},
 	} {
 		var before, after runtime.MemStats
 		settleHeap()

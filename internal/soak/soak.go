@@ -133,6 +133,7 @@ type Result struct {
 	Episodes int
 	Commits  int
 	Aborts   int
+	Unrun    int
 	// Hash combines the episode history hashes; at Workers == 1 it is a
 	// pure function of (Seed, Config).
 	Hash uint64
@@ -144,7 +145,11 @@ type EpisodeResult struct {
 	Seed    int64
 	Fault   string // "" for a clean episode
 	Commits int
-	Aborts  int
+	// Aborts counts the transactions the workers ran that the engine
+	// aborted; Unrun counts those they never started because a crash had
+	// degraded the database first.
+	Aborts int
+	Unrun  int
 	// Hash fingerprints the validated committed history (see HistoryHash).
 	Hash uint64
 }
@@ -222,10 +227,11 @@ func Run(cfg Config) (Result, error) {
 		res.Episodes++
 		res.Commits += er.Commits
 		res.Aborts += er.Aborts
+		res.Unrun += er.Unrun
 		res.Hash = res.Hash*0x100000001b3 ^ er.Hash
 		if cfg.Log != nil {
-			cfg.Log("episode %d: engine=%s fault=%q commits=%d aborts=%d hash=%016x",
-				er.Episode, EngineFlag(cfg.Scheme), er.Fault, er.Commits, er.Aborts, er.Hash)
+			cfg.Log("episode %d: engine=%s fault=%q commits=%d aborts=%d unrun=%d hash=%016x",
+				er.Episode, EngineFlag(cfg.Scheme), er.Fault, er.Commits, er.Aborts, er.Unrun, er.Hash)
 		}
 		if err != nil {
 			return res, err
@@ -260,6 +266,10 @@ type episode struct {
 	bank  *workload.Bank
 	marks *core.Table
 	cp    *ckpt.Checkpointer // nil in clean episodes
+
+	// ran and aborts count the transactions runWorkers ran and, of those,
+	// the ones the engine aborted.
+	ran, aborts int
 }
 
 // vio wraps a correctness failure with the episode's replay coordinates.
@@ -281,7 +291,8 @@ func (e *episode) vio(err error) error {
 func (e *episode) result(outs []outcome, hash uint64) EpisodeResult {
 	r := EpisodeResult{Episode: e.num, Seed: e.seed, Fault: e.fault, Hash: hash}
 	r.Commits = len(outs)
-	r.Aborts = e.cfg.Workers*e.cfg.TxnsPerWorker - len(outs)
+	r.Aborts = e.aborts
+	r.Unrun = e.cfg.Workers*e.cfg.TxnsPerWorker - e.ran
 	return r
 }
 
@@ -390,8 +401,11 @@ func (e *episode) runWorkers() ([]outcome, error) {
 			if err != nil {
 				return outs, e.vio(err)
 			}
+			e.ran++
 			if committed || ft.EndTS != 0 {
 				outs = append(outs, outcome{ft: ft, marker: id, definite: committed})
+			} else {
+				e.aborts++
 			}
 		}
 		return outs, nil
@@ -407,6 +421,13 @@ func (e *episode) runWorkers() ([]outcome, error) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			ran, aborts := 0, 0
+			defer func() {
+				mu.Lock()
+				e.ran += ran
+				e.aborts += aborts
+				mu.Unlock()
+			}()
 			rng := rand.New(rand.NewSource(EpisodeSeed(e.seed, worker+1)))
 			for i := 0; i < cfg.TxnsPerWorker && e.db.Degraded() == nil; i++ {
 				id := uint64(worker+1)<<40 | uint64(i)
@@ -419,10 +440,13 @@ func (e *episode) runWorkers() ([]outcome, error) {
 					mu.Unlock()
 					return
 				}
+				ran++
 				if committed || ft.EndTS != 0 {
 					mu.Lock()
 					outs = append(outs, outcome{ft: ft, marker: id, definite: committed})
 					mu.Unlock()
+				} else {
+					aborts++
 				}
 			}
 		}(w)

@@ -103,6 +103,43 @@ func TestSoakFaultedConcurrent(t *testing.T) {
 	}
 }
 
+// TestSoakCountsUnrunApart: a transaction a worker never ran because a
+// crash degraded the database first is counted as unrun, not as an abort.
+// A clean episode runs every transaction, each a commit or an abort; a
+// faulted one stops at its crash, and its aborts are at most the
+// transactions it ran.
+func TestSoakCountsUnrunApart(t *testing.T) {
+	const txns = 60
+	cfg := soak.Config{
+		Scheme:        core.SingleVersion,
+		Seed:          seedtest.Base(t, 4242),
+		Workers:       1,
+		TxnsPerWorker: txns,
+		Faults:        true,
+		Dir:           t.TempDir(),
+	}
+	stopped := false
+	for ep := 0; ep < 6; ep++ {
+		r, err := soak.RunEpisode(cfg, ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Fault == "" {
+			if r.Unrun != 0 || r.Commits+r.Aborts != txns {
+				t.Fatalf("clean episode %d: %+v, want every one of %d transactions a commit or an abort", ep, r, txns)
+			}
+			continue
+		}
+		if r.Unrun < 0 || r.Aborts > txns-r.Unrun || r.Commits+r.Aborts+r.Unrun > txns {
+			t.Fatalf("faulted episode %d: %+v does not add up to %d transactions", ep, r, txns)
+		}
+		stopped = stopped || r.Unrun > 0
+	}
+	if !stopped {
+		t.Fatal("no faulted episode stopped its worker early")
+	}
+}
+
 // TestViolationRepro: a violation's message carries the seed and the exact
 // one-episode repro command.
 func TestViolationRepro(t *testing.T) {

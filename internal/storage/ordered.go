@@ -79,14 +79,14 @@ func (ix *OrderedIndex) Link(v *Version) {
 	for {
 		n := ix.list.GetOrCreate(key)
 		b := &n.V
-		b.mu.Lock()
+		b.latch()
 		if !ix.list.Revive(n) {
-			b.mu.Unlock()
+			b.unlatch()
 			continue // node already swept; a fresh node is needed
 		}
 		v.setNext(ix.ord, b.head.Load())
 		b.head.Store(v)
-		b.mu.Unlock()
+		b.unlatch()
 		return
 	}
 }
@@ -103,11 +103,11 @@ func (ix *OrderedIndex) Unlink(v *Version) {
 	if !b.unlink(v, ix.ord) {
 		return
 	}
-	b.mu.Lock()
+	b.latch()
 	if b.head.Load() == nil {
 		ix.list.MarkDeleted(n)
 	}
-	b.mu.Unlock()
+	b.unlatch()
 }
 
 // SweepNodes unlinks up to max marked (logically deleted) nodes from the

@@ -38,12 +38,23 @@ func TestSkipNodeHeaderSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(SkipNode[Bucket]{}); got != 48 {
-		t.Errorf("SkipNode[Bucket] is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(SkipNode[Bucket]{}); got != 40 {
+		t.Errorf("SkipNode[Bucket] is %d bytes, want 40", got)
 	}
 	// One pointer of value: the shape of the single-version record chain.
 	if got := unsafe.Sizeof(SkipNode[struct{ head *Version }]{}); got != 32 {
 		t.Errorf("SkipNode[struct{ head *Version }] is %d bytes, want 32", got)
+	}
+}
+
+// TestBucketSize pins the bucket at the paper's shape: a chain head and one
+// 32-bit word holding the insert/unlink latch and the bucket-lock count.
+func TestBucketSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Bucket{}); got != 16 {
+		t.Errorf("Bucket is %d bytes, want 16", got)
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/keyenc"
@@ -303,10 +303,10 @@ func (ix *HashIndex) RangeLocks() *RangeLockTable { return nil }
 // Link inserts v at the head of its bucket chain.
 func (ix *HashIndex) Link(v *Version) {
 	b := ix.Bucket(v.Key(ix.ord))
-	b.mu.Lock()
+	b.latch()
 	v.setNext(ix.ord, b.head.Load())
 	b.head.Store(v)
-	b.mu.Unlock()
+	b.unlatch()
 }
 
 // Unlink removes v from its bucket chain.
@@ -319,8 +319,8 @@ func (ix *HashIndex) Unlink(v *Version) {
 // this to trigger node reclamation (a hash bucket is a fixed slot and
 // ignores it).
 func (b *Bucket) unlink(v *Version, ord int) (empty bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	b.latch()
+	defer b.unlatch()
 	cur := b.head.Load()
 	if cur == v {
 		b.head.Store(v.Next(ord))
@@ -338,24 +338,40 @@ func (b *Bucket) unlink(v *Version, ord int) (empty bool) {
 }
 
 // Bucket is one chain of versions: a hash bucket (all keys hashing there) or
-// an ordered-index node's chain (exactly one key). Readers call Head and
-// Version.Next with no locking; the mutex serializes inserts and unlinks
-// only. lockCount is the bucket-lock counter of Section 4.1.2, stored in the
-// bucket so scans can check for locks cheaply.
+// an ordered-index node's chain (exactly one key). It is 16 bytes, the
+// chain head and one 32-bit word. Readers call Head and Version.Next with
+// no locking. Bit 0 of the word is the latch that serializes inserts and
+// unlinks; bits 1..31 hold the bucket-lock count of Section 4.1.2, kept in
+// the bucket so scans and inserters can check for locks with one load.
 type Bucket struct {
-	mu        sync.Mutex
-	head      atomic.Pointer[Version]
-	lockCount atomic.Int32
+	head atomic.Pointer[Version]
+	word atomic.Uint32
 }
+
+const (
+	bucketLatch    = 1 // word bit 0: a Link or Unlink is changing the chain
+	bucketLockUnit = 2 // one bucket lock in word bits 1..31
+)
+
+// latch takes b's insert/unlink latch, yielding while another holder has
+// it; holds are a few pointer writes or one chain walk.
+func (b *Bucket) latch() {
+	for b.word.Or(bucketLatch)&bucketLatch != 0 {
+		runtime.Gosched()
+	}
+}
+
+// unlatch releases b's latch, leaving the lock count as it is.
+func (b *Bucket) unlatch() { b.word.And(^uint32(bucketLatch)) }
 
 // Head returns the first version in the bucket chain.
 func (b *Bucket) Head() *Version { return b.head.Load() }
 
 // LockCount returns the number of bucket locks currently held.
-func (b *Bucket) LockCount() int { return int(b.lockCount.Load()) }
+func (b *Bucket) LockCount() int { return int(b.word.Load() >> 1) }
 
 // IncLocks increments the bucket lock counter.
-func (b *Bucket) IncLocks() { b.lockCount.Add(1) }
+func (b *Bucket) IncLocks() { b.word.Add(bucketLockUnit) }
 
 // DecLocks decrements the bucket lock counter.
-func (b *Bucket) DecLocks() { b.lockCount.Add(-1) }
+func (b *Bucket) DecLocks() { b.word.Add(^uint32(bucketLockUnit - 1)) }

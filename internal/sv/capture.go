@@ -42,8 +42,8 @@ func (e *Engine) Capture(tables []*Table, fn func(t *Table, key uint64, payload 
 		switch ix := t.indexes[0].(type) {
 		case *hashIndex:
 			for i := range ix.buckets {
-				b := &ix.buckets[i]
-				if err := tx.lockS(&b.lock); err != nil {
+				b, ws := ix.bucketAt(uint64(i))
+				if err := tx.lockS(&b.lock, ws); err != nil {
 					return 0, err
 				}
 				if err := emitChain(b.head); err != nil {

@@ -16,8 +16,9 @@ import (
 func collidingKey(t *testing.T, tbl *Table, ord int, a uint64) uint64 {
 	t.Helper()
 	ix := tbl.hashIxs[ord]
+	ba, _ := ix.bucket(a)
 	for b := a + 1; b <= a+2*uint64(len(ix.buckets)); b++ {
-		if ix.bucket(b) == ix.bucket(a) {
+		if bb, _ := ix.bucket(b); bb == ba {
 			return b
 		}
 	}
@@ -35,8 +36,8 @@ func TestBucketCollisionScanSkipsForeignRecord(t *testing.T) {
 	c := collidingKey(t, tbl, 0, b)
 	e.LoadRow(tbl, testPayload(a, 50))
 	e.LoadRow(tbl, testPayload(b, 60))
-	if head := tbl.hashIxs[0].bucket(a).head; head.link(0).key != b {
-		t.Fatalf("bucket head holds key %d, want the colliding key %d", head.link(0).key, b)
+	if ba, _ := tbl.hashIxs[0].bucket(a); ba.head.link(0).key != b {
+		t.Fatalf("bucket head holds key %d, want the colliding key %d", ba.head.link(0).key, b)
 	}
 	tx := e.Begin(iso.Serializable)
 	seen := 0

@@ -149,8 +149,10 @@ type hashIndex struct {
 	spec    storage.IndexSpec
 	slots   storage.BucketMap
 	buckets []bucket
+	waits   [waitStripes]waitStripe
 }
 
+// bucket is one hash slot, 16 bytes: its lock word and its chain head.
 type bucket struct {
 	lock keyLock
 	head *Record
@@ -225,20 +227,30 @@ func (r *Record) link(ord int) *link {
 // exclusive lock); the slice must not be modified.
 func (r *Record) Payload() []byte { return r.payload }
 
-func (ix *hashIndex) ordinal() int              { return ix.ord }
-func (ix *hashIndex) ordered() bool             { return false }
-func (ix *hashIndex) keyOf(p []byte) uint64     { return ix.spec.Key(p) }
-func (ix *hashIndex) bucket(key uint64) *bucket { return &ix.buckets[ix.slots.Slot(key)] }
+func (ix *hashIndex) ordinal() int          { return ix.ord }
+func (ix *hashIndex) ordered() bool         { return false }
+func (ix *hashIndex) keyOf(p []byte) uint64 { return ix.spec.Key(p) }
+
+// bucket returns key's bucket and the wait stripe of its lock.
+func (ix *hashIndex) bucket(key uint64) (*bucket, *waitStripe) {
+	return ix.bucketAt(ix.slots.Slot(key))
+}
+
+// bucketAt returns bucket i and the wait stripe of its lock.
+func (ix *hashIndex) bucketAt(i uint64) (*bucket, *waitStripe) {
+	return &ix.buckets[i], &ix.waits[i%waitStripes]
+}
 
 func (ix *hashIndex) link(r *Record) {
 	l := r.link(ix.ord)
-	b := ix.bucket(l.key)
+	b, _ := ix.bucket(l.key)
 	l.next = b.head
 	b.head = r
 }
 
 func (ix *hashIndex) unlink(r *Record, key uint64) {
-	unlinkChain(&ix.bucket(key).head, r, ix.ord)
+	b, _ := ix.bucket(key)
+	unlinkChain(&b.head, r, ix.ord)
 }
 
 // unlinkChain removes r from the index-ord chain starting at *head.

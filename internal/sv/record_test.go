@@ -21,6 +21,18 @@ func TestRecordSize(t *testing.T) {
 	}
 }
 
+// TestBucketSize pins the hash bucket at 16 bytes: the lock's state word and
+// the chain head. The lock's wait machinery lives in the index's striped
+// wait table, not in the bucket.
+func TestBucketSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(bucket{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(bucket{}) = %d, want 16", got)
+	}
+}
+
 // ovRow is a row of the four-index overflow table: primary key pk, a hash
 // attribute a and an ordered attribute b.
 type ovRow struct{ pk, a, b uint64 }

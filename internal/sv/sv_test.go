@@ -154,7 +154,7 @@ func TestDeleteCommitUnlinks(t *testing.T) {
 	tx2.Commit()
 	// Physically unlinked.
 	ix := tbl.indexes[0].(*hashIndex)
-	if ix.bucket(1).head != nil && ix.bucket(1).head.link(0).key == 1 {
+	if b, _ := ix.bucket(1); b.head != nil && b.head.link(0).key == 1 {
 		t.Fatal("record still linked after delete commit")
 	}
 }

@@ -31,6 +31,7 @@ var ErrDegraded = wal.ErrDegraded
 
 type heldLock struct {
 	l    *keyLock
+	ws   *waitStripe
 	s, x int
 }
 
@@ -172,9 +173,10 @@ func (tx *Tx) ReadOnly() bool { return tx.readOnly }
 // capture holds one per hash bucket.
 const heldScanMax = 16
 
-// registered returns tx's entry for l, adding an empty one if tx does not
-// hold l yet. The pointer is valid until the next call.
-func (tx *Tx) registered(l *keyLock) *heldLock {
+// registered returns tx's entry for l, adding an empty one, with l's wait
+// stripe ws, if tx does not hold l yet. The pointer is valid until the next
+// call.
+func (tx *Tx) registered(l *keyLock, ws *waitStripe) *heldLock {
 	n := len(tx.held)
 	if n <= heldScanMax {
 		for i := n - 1; i >= 0; i-- {
@@ -194,25 +196,25 @@ func (tx *Tx) registered(l *keyLock) *heldLock {
 		}
 		tx.heldIdx[l] = n
 	}
-	tx.held = append(tx.held, heldLock{l: l})
+	tx.held = append(tx.held, heldLock{l: l, ws: ws})
 	return &tx.held[n]
 }
 
 // lockS acquires and registers a shared lock held to commit.
-func (tx *Tx) lockS(l *keyLock) error {
-	if err := l.acquireS(tx.id, tx.e.cfg.LockTimeout); err != nil {
+func (tx *Tx) lockS(l *keyLock, ws *waitStripe) error {
+	if err := l.acquireS(tx.id, tx.e.cfg.LockTimeout, ws); err != nil {
 		tx.e.timeouts.Add(1)
 		return err
 	}
-	tx.registered(l).s++
+	tx.registered(l, ws).s++
 	return nil
 }
 
 // lockX acquires and registers an exclusive lock held to commit. A
 // transaction that already holds shared locks on the same key upgrades.
-func (tx *Tx) lockX(l *keyLock) error {
-	h := tx.registered(l)
-	if err := l.acquireX(tx.id, h.s, tx.e.cfg.LockTimeout); err != nil {
+func (tx *Tx) lockX(l *keyLock, ws *waitStripe) error {
+	h := tx.registered(l, ws)
+	if err := l.acquireX(tx.id, h.s, tx.e.cfg.LockTimeout, ws); err != nil {
 		tx.e.timeouts.Add(1)
 		return err
 	}
@@ -247,7 +249,7 @@ func (tx *Tx) acquireRange(rl *storage.RangeLockTable, lo, hi uint64, excl bool)
 func (tx *Tx) finish(outcome *atomic.Uint64) {
 	for i := range tx.held {
 		h := &tx.held[i]
-		h.l.releaseBulk(tx.id, h.s, h.x > 0)
+		h.l.releaseBulk(tx.id, h.s, h.x > 0, h.ws)
 	}
 	for i := range tx.heldRanges {
 		h := &tx.heldRanges[i]
@@ -274,16 +276,16 @@ func (tx *Tx) Scan(t *Table, indexOrd int, key uint64, pred Pred, fn func(*Recor
 	}
 	short := tx.short
 	if ix := t.hashIxs[indexOrd]; ix != nil {
-		b := ix.bucket(key)
+		b, ws := ix.bucket(key)
 		l := &b.lock
 		if short {
-			if err := l.acquireS(tx.id, tx.e.cfg.LockTimeout); err != nil {
+			if err := l.acquireS(tx.id, tx.e.cfg.LockTimeout, ws); err != nil {
 				tx.e.timeouts.Add(1)
 				return err
 			}
-			defer l.releaseS(tx.id)
+			defer l.releaseS(ws)
 		} else {
-			if err := tx.lockS(l); err != nil {
+			if err := tx.lockS(l, ws); err != nil {
 				return err
 			}
 		}
@@ -391,7 +393,8 @@ func (tx *Tx) Lookup(t *Table, indexOrd int, key uint64, pred Pred) (*Record, bo
 func (tx *Tx) lockKeyX(ix svIndex, key uint64) error {
 	switch ix := ix.(type) {
 	case *hashIndex:
-		return tx.lockX(&ix.bucket(key).lock)
+		b, ws := ix.bucket(key)
+		return tx.lockX(&b.lock, ws)
 	case *orderedIndex:
 		return tx.lockRange(&ix.rl, key, key, true)
 	}
@@ -542,8 +545,8 @@ func (tx *Tx) collectMatches(t *Table, indexOrd int, key uint64, pred Pred) ([]*
 	var head *Record
 	switch ix := t.indexes[indexOrd].(type) {
 	case *hashIndex:
-		b := ix.bucket(key)
-		if err := tx.lockS(&b.lock); err != nil {
+		b, ws := ix.bucket(key)
+		if err := tx.lockS(&b.lock, ws); err != nil {
 			return nil, err
 		}
 		head = b.head
