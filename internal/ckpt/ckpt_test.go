@@ -4,6 +4,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -407,25 +411,188 @@ func TestPartitionCRCDetected(t *testing.T) {
 	}
 }
 
-// TestBackgroundCheckpointer exercises Start/Stop under a live write load.
-func TestBackgroundCheckpointer(t *testing.T) {
+// TestCheckpointUnderWrites: checkpoints taken while writers commit all
+// succeed in one attempt (a 1V capture outwaits the writers it meets), and
+// recovery from the last one plus the log tail equals the final state.
+func TestCheckpointUnderWrites(t *testing.T) {
+	const writers, runs = 2, 5
+	for _, scheme := range schemes() {
+		t.Run(scheme.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := ckpt.OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, tbl := openDB(t, scheme, store)
+			mutate(t, db, tbl, 0, nKeys)
+			cp := ckpt.New(db, store, []ckpt.TableSpec{{Table: tbl, Partitions: 2, Lo: 0, Hi: nKeys - 1}}, ckpt.Options{})
+
+			var wg sync.WaitGroup
+			var commits atomic.Int64
+			stop := make(chan struct{})
+			for w := uint64(0); w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					// Writer w owns the keys k ≡ w (mod writers). An abort
+					// (a 1V lock timeout against the capture, an MV
+					// conflict) just moves on to the next key.
+					for k := w; ; k = (k + writers) % nKeys {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						tx := db.Begin()
+						_, err := tx.UpdateWhere(tbl, 0, k, nil, func(old []byte) []byte {
+							return workload.Row(k, workload.RowVal(old)+1)
+						})
+						if err != nil {
+							tx.Abort()
+						} else if tx.Commit() == nil {
+							commits.Add(1)
+						}
+					}
+				}()
+			}
+			stopWriters := sync.OnceFunc(func() { close(stop); wg.Wait() })
+			defer stopWriters() // a failed Run leaves no writer running
+			for commits.Load() == 0 {
+				runtime.Gosched()
+			}
+			before := commits.Load()
+			for i := 0; i < runs; i++ {
+				if _, err := cp.Run(); err != nil {
+					t.Fatalf("Run %d under writes: %v", i+1, err)
+				}
+			}
+			during := commits.Load() - before
+			stopWriters()
+			if during == 0 {
+				t.Fatal("no writer committed while the checkpoints ran")
+			}
+			want := dump(t, db, tbl)
+			db.Close()
+			store.Close()
+			got, _ := recoverInto(t, scheme, dir, recovery.Options{})
+			diffStates(t, want, got, "after checkpoints under writes")
+		})
+	}
+}
+
+// ckptDirs lists the store's checkpoint directories.
+func ckptDirs(t *testing.T, dir string) []string {
+	t.Helper()
+	dirs, err := filepath.Glob(filepath.Join(dir, "ckpt-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range dirs {
+		dirs[i] = filepath.Base(d)
+	}
+	return dirs
+}
+
+// assertOnlyCurrent checks that the one checkpoint directory left is the one
+// CURRENT names.
+func assertOnlyCurrent(t *testing.T, dir, label string) {
+	t.Helper()
+	store, err := ckpt.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cur, err := store.LatestManifest()
+	store.Close()
+	if err != nil || cur == "" {
+		t.Fatalf("%s: LatestManifest: %q, %v", label, cur, err)
+	}
+	if dirs := ckptDirs(t, dir); !slices.Equal(dirs, []string{filepath.Base(cur)}) {
+		t.Fatalf("%s: checkpoint directories %v, want only CURRENT's %s", label, dirs, filepath.Base(cur))
+	}
+}
+
+// TestCheckpointRemovesSupersededDirs: once CURRENT names a new checkpoint,
+// Run removes every other checkpoint directory, the previous checkpoints'
+// and that of a Run killed before it published alike, and recovery still
+// restores the database row for row.
+func TestCheckpointRemovesSupersededDirs(t *testing.T) {
 	dir := t.TempDir()
 	store, err := ckpt.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db, tbl := openDB(t, core.MVOptimistic, store)
-	cp := ckpt.New(db, store, []ckpt.TableSpec{{Table: tbl, Lo: 0, Hi: nKeys - 1}}, ckpt.Options{})
-	cp.Start(2 * 1e6) // 2ms
-	mutate(t, db, tbl, 0, nKeys)
-	cp.Stop()
-	// One final foreground checkpoint so the published one is deterministic.
-	if _, err := cp.Run(); err != nil {
-		t.Fatal(err)
+	spec := []ckpt.TableSpec{{Table: tbl, Lo: 0, Hi: nKeys - 1}}
+	for i := uint64(0); i < 3; i++ {
+		mutate(t, db, tbl, i*nKeys/3, (i+1)*nKeys/3)
+		if _, err := ckpt.New(db, store, spec, ckpt.Options{}).Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := dump(t, db, tbl)
 	db.Close()
 	store.Close()
+	assertOnlyCurrent(t, dir, "after three Runs")
+
+	// checkpointRecovered recovers the store into a fresh database and
+	// checkpoints that back into the store, with the fault armed if set.
+	checkpointRecovered := func(fault string) error {
+		t.Helper()
+		store, f := openFaultStore(t, dir)
+		defer store.Close()
+		db, tbl := openDB(t, core.MVOptimistic, nil)
+		defer db.Close()
+		if _, err := recovery.Recover(db, recovery.TableSet{"rows": tbl}, store, recovery.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		diffStates(t, want, dump(t, db, tbl), "recovered before the checkpoint")
+		if fault != "" {
+			f.Arm(fault, 0)
+		}
+		_, err := ckpt.New(db, store, []ckpt.TableSpec{{Table: tbl, Lo: 0, Hi: nKeys - 1}}, ckpt.Options{}).Run()
+		return err
+	}
+	if err := checkpointRecovered(ckpt.FaultManifest); !errors.Is(err, wal.ErrCrashed) {
+		t.Fatalf("Run with %s armed = %v, want wal.ErrCrashed", ckpt.FaultManifest, err)
+	}
+	if n := len(ckptDirs(t, dir)); n != 2 {
+		t.Fatalf("after the killed Run: %d checkpoint directories, want CURRENT's and the unpublished one", n)
+	}
+	if err := checkpointRecovered(""); err != nil {
+		t.Fatal(err)
+	}
+	assertOnlyCurrent(t, dir, "after the killed Run and one more")
 	got, _ := recoverInto(t, core.MVOptimistic, dir, recovery.Options{})
-	diffStates(t, want, got, "background checkpoints")
+	diffStates(t, want, got, "after the superseded directories went")
+}
+
+// TestCheckpointDropsEmptySegments: a Run with no commits since the previous
+// one seals a segment holding only its header; truncation removes it, so
+// repeated quiescent Runs leave only the live segment.
+func TestCheckpointDropsEmptySegments(t *testing.T) {
+	dir := t.TempDir()
+	store, err := ckpt.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, tbl := openDB(t, core.SingleVersion, store)
+	mutate(t, db, tbl, 0, nKeys)
+	cp := ckpt.New(db, store, []ckpt.TableSpec{{Table: tbl, Lo: 0, Hi: nKeys - 1}}, ckpt.Options{})
+	for i := 0; i < 3; i++ {
+		if _, err := cp.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if paths, err := store.SegmentPaths(); err != nil || len(paths) != 1 {
+			t.Fatalf("after quiescent Run %d: segments %v (%v), want only the live one", i+1, paths, err)
+		}
+	}
+	want := dump(t, db, tbl)
+	db.Close()
+	store.Close()
+	got, rst := recoverInto(t, core.SingleVersion, dir, recovery.Options{})
+	diffStates(t, want, got, "after quiescent checkpoints")
+	// The old live segment and the one reopening the store started.
+	if rst.SegmentsRead != 2 {
+		t.Errorf("recovery read %d segments, want 2", rst.SegmentsRead)
+	}
 }

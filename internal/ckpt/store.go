@@ -224,7 +224,7 @@ func (s *Store) latch(err error) {
 
 // Err returns the first latched write or fsync failure or injected crash
 // (wal.ErrCrashed), or nil. A non-nil Err means the store can no longer
-// promise durability; the checkpointer's health API surfaces it.
+// promise durability; every later Checkpointer.Run returns it.
 func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -315,36 +315,50 @@ func (s *Store) SegmentPaths() ([]string, error) {
 	return paths, nil
 }
 
-// CompactBelow rewrites sealed segments dropping every record with end
-// timestamp at or below stable — the log truncation step of a checkpoint:
-// those transactions' effects are in the checkpoint, so replaying them would
-// be redundant (recovery filters on the stable timestamp anyway; truncation
-// is what bounds log growth). Segments left empty are removed. The rewrite
-// is atomic per segment (temp file + rename), so a crash mid-compaction
-// leaves each segment either intact or fully compacted — both replay
-// correctly. Once every segment is done, the directory is synced so the
-// renames and removals are durable. It returns the number of log bytes
-// reclaimed.
-func (s *Store) CompactBelow(stable uint64) (int64, error) {
+// retire deletes what the checkpoint dirName, just published, supersedes.
+// With compact set it truncates the log below stable: each sealed segment
+// is rewritten without its records at or below stable (their effects are
+// in the checkpoint), atomically by temp file and rename, and removed once
+// it holds no records, so a header-only segment does not outlive the Run
+// that sealed it. Then every other ckpt-* directory goes, older checkpoints
+// and those of Runs that failed before publishing alike: recovery reads
+// only the one CURRENT names. One sync of the root makes every rename and
+// removal durable. It returns the log bytes reclaimed.
+func (s *Store) retire(dirName string, stable uint64, compact bool) (int64, error) {
 	if err := s.Err(); err != nil {
 		return 0, err
 	}
-	paths, err := s.SegmentPaths()
-	if err != nil {
-		return 0, err
-	}
 	var reclaimed int64
-	for _, path := range paths {
-		if path == s.segPath {
-			continue // never rewrite the live segment
-		}
-		n, err := s.compactSegment(path, stable)
+	if compact {
+		paths, err := s.SegmentPaths()
 		if err != nil {
-			return reclaimed, err
+			return 0, err
 		}
-		reclaimed += n
+		for _, path := range paths {
+			if path == s.segPath {
+				continue // never rewrite the live segment
+			}
+			n, err := s.compactSegment(path, stable)
+			if err != nil {
+				return reclaimed, err
+			}
+			reclaimed += n
+		}
 	}
-	if reclaimed > 0 {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return reclaimed, err
+	}
+	removed := false
+	for _, e := range entries {
+		if e.IsDir() && e.Name() != dirName && strings.HasPrefix(e.Name(), "ckpt-") {
+			if err := os.RemoveAll(filepath.Join(s.dir, e.Name())); err != nil {
+				return reclaimed, err
+			}
+			removed = true
+		}
+	}
+	if reclaimed > 0 || removed {
 		if err := s.syncDirLatched(s.dir); err != nil {
 			return reclaimed, err
 		}
@@ -381,14 +395,14 @@ func (s *Store) compactSegment(path string, stable uint64) (int64, error) {
 		keep = append(keep, rec)
 	}
 	f.Close()
-	if dropped == 0 {
-		return 0, nil
-	}
 	if len(keep) == 0 {
 		if err := os.Remove(path); err != nil {
 			return 0, err
 		}
 		return fi.Size(), nil
+	}
+	if dropped == 0 {
+		return 0, nil
 	}
 	tmp := path + ".tmp"
 	out, err := os.Create(tmp)

@@ -255,8 +255,11 @@ func (db *Database) Degraded() error {
 // reader pin, and the single-version engine runs a shared-lock capture
 // transaction (see mv.Engine.Capture and sv.Engine.Capture for the two
 // consistency arguments). The payload passed to fn is valid only during the
-// callback. On the 1V engine a capture can time out against concurrent
-// writers; callers retry.
+// callback. On the 1V engine the capture waits out the writers it meets:
+// each wait cycle it joins is broken by a writer's lock timeout, never by
+// the capture's, so it fails only when fn does. Its one cost: an open 1V
+// write transaction holding a lock the capture needs stalls it until that
+// transaction ends.
 func (db *Database) Capture(tables []*Table, fn func(t *Table, key uint64, payload []byte) error) (uint64, error) {
 	if db.mvEng != nil {
 		byEngine := make(map[*storage.Table]*Table, len(tables))

@@ -402,24 +402,3 @@ func readTail(store *ckpt.Store, ckptTS uint64, st *Stats) ([]*wal.Record, error
 	st.TailRecords = len(tail)
 	return tail, nil
 }
-
-// Audit verifies a log stream against the exactly-once property: every end
-// timestamp appears once, strictly increasing after sorting, with no zero
-// timestamps. It returns the number of records checked.
-func Audit(r io.Reader) (int, error) {
-	recs, err := wal.ReadAll(r)
-	if err != nil {
-		return 0, err
-	}
-	seen := make(map[uint64]bool, len(recs))
-	for _, rec := range recs {
-		if rec.EndTS == 0 {
-			return len(recs), fmt.Errorf("recovery: record with zero end timestamp (txid %d)", rec.TxID)
-		}
-		if seen[rec.EndTS] {
-			return len(recs), fmt.Errorf("recovery: duplicate end timestamp %d", rec.EndTS)
-		}
-		seen[rec.EndTS] = true
-	}
-	return len(recs), nil
-}

@@ -455,7 +455,7 @@ func (e *episode) runWorkers() ([]outcome, error) {
 		// Coordinator: live checkpoints racing the workload.
 		for i := 0; i < 25 && e.db.Degraded() == nil; i++ {
 			time.Sleep(2 * time.Millisecond)
-			_, _ = e.cp.Run() // errors (injected faults, lock timeouts) are the scenario
+			_, _ = e.cp.Run() // errors (injected faults) are the scenario
 		}
 	}
 	wg.Wait()

@@ -1,6 +1,18 @@
 package sv
 
-import "repro/internal/iso"
+import (
+	"math"
+	"time"
+
+	"repro/internal/iso"
+	"repro/internal/storage"
+)
+
+// captureWait bounds the capture's lock waits: not at all. The capture
+// takes only shared locks, in one ascending pass, so every wait cycle it
+// joins also contains a writer waiting for a shared lock the capture holds,
+// and that writer's own LockTimeout breaks the cycle.
+const captureWait = time.Duration(math.MaxInt64)
 
 // Capture streams a transactionally consistent snapshot of the given tables
 // to fn and returns the stable sequence number S: the snapshot contains the
@@ -19,8 +31,9 @@ import "repro/internal/iso"
 // until after S is read (so its sequence is > S). Either way the snapshot
 // boundary and the log agree.
 //
-// Like any 1V reader the capture can deadlock with concurrent writers; lock
-// timeouts break the cycle, surfacing as an error here. Callers retry.
+// The capture waits out the writers it meets instead of timing out (see
+// captureWait), so it fails only when fn does. Its one cost: it cannot
+// finish while a 1V write transaction holding a lock it needs stays open.
 //
 // The payload passed to fn is valid only during the callback.
 func (e *Engine) Capture(tables []*Table, fn func(t *Table, key uint64, payload []byte) error) (uint64, error) {
@@ -43,17 +56,19 @@ func (e *Engine) Capture(tables []*Table, fn func(t *Table, key uint64, payload 
 		case *hashIndex:
 			for i := range ix.buckets {
 				b, ws := ix.bucketAt(uint64(i))
-				if err := tx.lockS(&b.lock, ws); err != nil {
+				if err := b.lock.acquireS(tx.id, captureWait, ws); err != nil {
 					return 0, err
 				}
+				tx.registered(&b.lock, ws).s++
 				if err := emitChain(b.head); err != nil {
 					return 0, err
 				}
 			}
 		case *orderedIndex:
-			if err := tx.lockRange(&ix.rl, 0, ^uint64(0), false); err != nil {
-				return 0, err
+			if !ix.rl.Acquire(0, ^uint64(0), tx.id, false, captureWait) {
+				return 0, ErrLockTimeout
 			}
+			tx.heldRanges = append(tx.heldRanges, storage.RangeHold{Table: &ix.rl, Lo: 0, Hi: ^uint64(0)})
 			for n := ix.list.Seek(0); n != nil; n = n.Next() {
 				if err := emitChain(n.V.head); err != nil {
 					return 0, err

@@ -458,3 +458,69 @@ func TestCaptureLinearInBuckets(t *testing.T) {
 		t.Fatalf("capture over 1 M buckets took %v", d)
 	}
 }
+
+// TestCaptureOutwaitsWriter: a capture blocked on writer W's exclusive lock
+// holds a shared lock that W then asks to upgrade. W's lock timeout breaks the
+// cycle, not the capture's: W gets ErrLockTimeout and aborts, and the
+// capture goes on to return every original row.
+func TestCaptureOutwaitsWriter(t *testing.T) {
+	const n = 16
+	e := NewEngine(Config{LockTimeout: 20 * time.Millisecond})
+	tbl, err := e.CreateTable(storage.TableSpec{
+		Name:    "t",
+		Indexes: []storage.IndexSpec{{Name: "pk", Key: payloadKey, Buckets: n}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := tbl.hashIxs[0]
+	var keyAt [n]uint64
+	for k := uint64(0); k < n; k++ {
+		e.LoadRow(tbl, testPayload(k, k))
+		keyAt[ix.slots.Slot(k)] = k
+	}
+	if ix.slots.Slot(keyAt[0]) != 0 || ix.slots.Slot(keyAt[n-1]) != n-1 {
+		t.Fatal("no key of 0..n-1 lands in bucket 0 or n-1")
+	}
+	bump := func(old []byte) []byte { return testPayload(payloadKey(old), payloadVal(old)+100) }
+
+	w := e.Begin(iso.Serializable)
+	if _, ok := readVal(t, w, tbl, keyAt[0]); !ok {
+		t.Fatal("bucket 0's row is missing")
+	}
+	if _, err := w.UpdateWhere(tbl, 0, keyAt[n-1], nil, bump); err != nil {
+		t.Fatal(err)
+	}
+
+	got := make(map[uint64]uint64)
+	capErr := make(chan error, 1)
+	go func() {
+		_, err := e.Capture([]*Table{tbl}, func(_ *Table, key uint64, p []byte) error {
+			got[key] = payloadVal(p)
+			return nil
+		})
+		capErr <- err
+	}()
+	// The capture has shared-locked buckets 0..n-2 once it waits on n-1.
+	last, _ := ix.bucketAt(n - 1)
+	for last.lock.state.Load()&waitBit == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	_, err = w.UpdateWhere(tbl, 0, keyAt[0], nil, bump)
+	w.Abort()
+	if err != ErrLockTimeout {
+		t.Fatalf("W's upgrade of bucket 0 = %v, want ErrLockTimeout", err)
+	}
+	if err := <-capErr; err != nil {
+		t.Fatalf("capture = %v, want it to outwait W", err)
+	}
+	if len(got) != n {
+		t.Fatalf("captured %d rows, want %d", len(got), n)
+	}
+	for k, v := range got {
+		if v != k {
+			t.Fatalf("captured key %d = %d, want the original %d", k, v, k)
+		}
+	}
+}
