@@ -80,7 +80,7 @@ func (c *Checkpointer) Run() (Stats, error) {
 		return stats, err
 	}
 	seq := c.store.nextCkptSeq()
-	dirName := fmt.Sprintf("ckpt-%06d", seq)
+	dirName := fmt.Sprintf(ckptName, seq)
 	dir := filepath.Join(c.store.Dir(), dirName)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return stats, err

@@ -72,17 +72,25 @@ func mutate(t *testing.T, db *core.Database, tbl *core.Table, lo, hi uint64) {
 	commit(tx)
 }
 
+// dump returns the table's rows by primary key. It scans every key rather
+// than looking it up, so a key held by two rows (a record replayed twice)
+// fails the test instead of hiding behind the first match.
 func dump(t *testing.T, db *core.Database, tbl *core.Table) map[uint64]uint64 {
 	t.Helper()
 	out := make(map[uint64]uint64)
 	tx := db.Begin(core.WithIsolation(core.SnapshotIsolation))
 	for k := uint64(0); k < nKeys; k++ {
-		row, ok, err := tx.Lookup(tbl, 0, k, nil)
+		n := 0
+		err := tx.Scan(tbl, 0, k, nil, func(row core.Row) bool {
+			out[k] = workload.RowVal(row.Payload())
+			n++
+			return true
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok {
-			out[k] = workload.RowVal(row.Payload())
+		if n > 1 {
+			t.Fatalf("key %d is held by %d rows", k, n)
 		}
 	}
 	if err := tx.Commit(); err != nil {
@@ -595,4 +603,120 @@ func TestCheckpointDropsEmptySegments(t *testing.T) {
 	if rst.SegmentsRead != 2 {
 		t.Errorf("recovery read %d segments, want 2", rst.SegmentsRead)
 	}
+}
+
+// TestRecoveryIgnoresStrayFiles puts what a crash can leave beside a valid
+// store, a temp copy of a log segment and a CURRENT.tmp naming a checkpoint
+// that does not exist, and checks that neither is read: recovery matches
+// the database row for row on every scheme.
+func TestRecoveryIgnoresStrayFiles(t *testing.T) {
+	for _, scheme := range schemes() {
+		t.Run(scheme.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := ckpt.OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, tbl := openDB(t, scheme, store)
+			mutate(t, db, tbl, 0, nKeys/2)
+			cp := ckpt.New(db, store, []ckpt.TableSpec{{Table: tbl, Lo: 0, Hi: nKeys - 1}}, ckpt.Options{})
+			if _, err := cp.Run(); err != nil {
+				t.Fatal(err)
+			}
+			mutate(t, db, tbl, nKeys/2, nKeys)
+			want := dump(t, db, tbl)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+			paths, err := store.SegmentPaths()
+			if err != nil || len(paths) == 0 {
+				t.Fatalf("segments %v (%v)", paths, err)
+			}
+			tail, err := os.ReadFile(paths[len(paths)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(paths[len(paths)-1]+".tmp", tail, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "CURRENT.tmp"), []byte("ckpt-000099\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, _ := recoverInto(t, scheme, dir, recovery.Options{})
+			diffStates(t, want, got, "recovered beside stray files")
+		})
+	}
+}
+
+// TestStraddlingSegmentRetiredLater: an open transaction holds an MV
+// checkpoint's stable timestamp S below later commits, so the segment that
+// Run seals straddles S. Truncation leaves it whole; the next Run, whose S
+// passes its last record, removes it. Recovery matches after each Run.
+func TestStraddlingSegmentRetiredLater(t *testing.T) {
+	dir := t.TempDir()
+	store, err := ckpt.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	db, tbl := openDB(t, core.MVOptimistic, store)
+	defer db.Close()
+	mutate(t, db, tbl, 0, nKeys/2)
+	open := db.Begin()
+	if _, _, err := open.Lookup(tbl, 0, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	mutate(t, db, tbl, nKeys/2, nKeys)
+	first, err := store.SegmentPaths()
+	if err != nil || len(first) != 1 {
+		t.Fatalf("segments %v (%v), want one", first, err)
+	}
+	sealed := first[0]
+	size := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(sealed)
+		if err != nil {
+			t.Fatalf("segment %s: %v", sealed, err)
+		}
+		return fi.Size()
+	}
+	cp := ckpt.New(db, store, []ckpt.TableSpec{{Table: tbl, Lo: 0, Hi: nKeys - 1}}, ckpt.Options{})
+	recoverCopy := func(label string) {
+		t.Helper()
+		copyDir := t.TempDir()
+		if err := os.CopyFS(copyDir, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := recoverInto(t, core.MVOptimistic, copyDir, recovery.Options{})
+		diffStates(t, dump(t, db, tbl), got, label)
+	}
+
+	if err := db.WAL().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := size()
+	if st, err := cp.Run(); err != nil || st.ReclaimedBytes != 0 {
+		t.Fatalf("first Run: %+v, %v; want nothing reclaimed", st, err)
+	}
+	if after := size(); after != before {
+		t.Fatalf("the straddling segment went from %d to %d bytes in the first Run, want it whole", before, after)
+	}
+	recoverCopy("after the first Run")
+
+	if err := open.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cp.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(sealed); !os.IsNotExist(err) {
+		t.Fatalf("the segment outlived a Run whose S passed its last record: %v", err)
+	}
+	if paths, err := store.SegmentPaths(); err != nil || len(paths) != 1 {
+		t.Fatalf("after the second Run: segments %v (%v), want only the live one", paths, err)
+	}
+	recoverCopy("after the second Run")
 }

@@ -87,11 +87,10 @@ func OpenStoreWith(dir string, opts StoreOptions) (*Store, error) {
 		return nil, err
 	}
 	for _, e := range entries {
-		var n uint64
-		if _, err := fmt.Sscanf(e.Name(), "wal-%d.log", &n); err == nil && n > s.segSeq {
+		if n, ok := nameSeq(e.Name(), segName); ok && n > s.segSeq {
 			s.segSeq = n
 		}
-		if _, err := fmt.Sscanf(e.Name(), "ckpt-%d", &n); err == nil && n > s.ckptSeq {
+		if n, ok := nameSeq(e.Name(), ckptName); ok && n > s.ckptSeq {
 			s.ckptSeq = n
 		}
 	}
@@ -102,6 +101,22 @@ func OpenStoreWith(dir string, opts StoreOptions) (*Store, error) {
 	return s, nil
 }
 
+// The names the store gives its log segments and checkpoint directories.
+const (
+	segName  = "wal-%06d.log"
+	ckptName = "ckpt-%06d"
+)
+
+// nameSeq returns n when name is exactly fmt.Sprintf(format, n), a name the
+// store made. Any other name reports false, so a stray file such as a
+// crash's leftover wal-000001.log.tmp is never taken for a segment or a
+// checkpoint.
+func nameSeq(name, format string) (uint64, bool) {
+	var n uint64
+	_, err := fmt.Sscanf(name, strings.Replace(format, "%06d", "%d", 1), &n)
+	return n, err == nil && fmt.Sprintf(format, n) == name
+}
+
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
@@ -110,7 +125,7 @@ func (s *Store) Dir() string { return s.dir }
 // it is acknowledged.
 func (s *Store) openSegmentLocked() error {
 	s.segSeq++
-	s.segPath = filepath.Join(s.dir, fmt.Sprintf("wal-%06d.log", s.segSeq))
+	s.segPath = filepath.Join(s.dir, fmt.Sprintf(segName, s.segSeq))
 	f, err := os.OpenFile(s.segPath, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -234,7 +249,7 @@ func (s *Store) Err() error {
 // Rotate seals the live segment (fsync + close) and starts the next one.
 // The checkpointer rotates after flushing the log so that every record at
 // or below the stable timestamp lives in sealed segments, which truncation
-// may rewrite.
+// may remove.
 func (s *Store) Rotate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -306,8 +321,7 @@ func (s *Store) SegmentPaths() ([]string, error) {
 	}
 	var paths []string
 	for _, e := range entries {
-		var n uint64
-		if _, err := fmt.Sscanf(e.Name(), "wal-%d.log", &n); err == nil {
+		if _, ok := nameSeq(e.Name(), segName); ok {
 			paths = append(paths, filepath.Join(s.dir, e.Name()))
 		}
 	}
@@ -317,13 +331,14 @@ func (s *Store) SegmentPaths() ([]string, error) {
 
 // retire deletes what the checkpoint dirName, just published, supersedes.
 // With compact set it truncates the log below stable: each sealed segment
-// is rewritten without its records at or below stable (their effects are
-// in the checkpoint), atomically by temp file and rename, and removed once
-// it holds no records, so a header-only segment does not outlive the Run
-// that sealed it. Then every other ckpt-* directory goes, older checkpoints
-// and those of Runs that failed before publishing alike: recovery reads
-// only the one CURRENT names. One sync of the root makes every rename and
-// removal durable. It returns the log bytes reclaimed.
+// whose records are all at or below stable (their effects are in the
+// checkpoint) is removed, and any other is left whole. A segment that
+// straddles stable, at most the one sealed by this Run, goes at a later Run
+// whose stable timestamp passes its last record; until then recovery
+// filters its records at or below stable out. Then every other checkpoint
+// directory goes, older checkpoints and those of Runs that failed before
+// publishing alike: recovery reads only the one CURRENT names. One sync of
+// the root makes every removal durable. It returns the log bytes reclaimed.
 func (s *Store) retire(dirName string, stable uint64, compact bool) (int64, error) {
 	if err := s.Err(); err != nil {
 		return 0, err
@@ -336,9 +351,9 @@ func (s *Store) retire(dirName string, stable uint64, compact bool) (int64, erro
 		}
 		for _, path := range paths {
 			if path == s.segPath {
-				continue // never rewrite the live segment
+				continue // never remove the live segment
 			}
-			n, err := s.compactSegment(path, stable)
+			n, err := removeIfBelow(path, stable)
 			if err != nil {
 				return reclaimed, err
 			}
@@ -351,7 +366,7 @@ func (s *Store) retire(dirName string, stable uint64, compact bool) (int64, erro
 	}
 	removed := false
 	for _, e := range entries {
-		if e.IsDir() && e.Name() != dirName && strings.HasPrefix(e.Name(), "ckpt-") {
+		if _, ok := nameSeq(e.Name(), ckptName); ok && e.IsDir() && e.Name() != dirName {
 			if err := os.RemoveAll(filepath.Join(s.dir, e.Name())); err != nil {
 				return reclaimed, err
 			}
@@ -366,18 +381,19 @@ func (s *Store) retire(dirName string, stable uint64, compact bool) (int64, erro
 	return reclaimed, nil
 }
 
-func (s *Store) compactSegment(path string, stable uint64) (int64, error) {
+// removeIfBelow removes the sealed segment at path when every record in it
+// is at or below stable, returning its size; otherwise it leaves the
+// segment as it is and returns 0.
+func removeIfBelow(path string, stable uint64) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
+	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return 0, err
 	}
-	var keep []*wal.Record
-	dropped := 0
 	d := wal.NewReader(f)
 	for {
 		rec, err := d.Next()
@@ -385,49 +401,16 @@ func (s *Store) compactSegment(path string, stable uint64) (int64, error) {
 			break
 		}
 		if err != nil {
-			f.Close()
-			return 0, fmt.Errorf("ckpt: compacting %s: %w", path, err)
+			return 0, fmt.Errorf("ckpt: truncating %s: %w", path, err)
 		}
-		if rec.EndTS <= stable {
-			dropped++
-			continue
+		if rec.EndTS > stable {
+			return 0, nil
 		}
-		keep = append(keep, rec)
 	}
-	f.Close()
-	if len(keep) == 0 {
-		if err := os.Remove(path); err != nil {
-			return 0, err
-		}
-		return fi.Size(), nil
-	}
-	if dropped == 0 {
-		return 0, nil
-	}
-	tmp := path + ".tmp"
-	out, err := os.Create(tmp)
-	if err != nil {
+	if err := os.Remove(path); err != nil {
 		return 0, err
 	}
-	buf := wal.SegmentHeader()
-	for _, rec := range keep {
-		buf = wal.EncodeRecord(buf, rec)
-	}
-	if _, err := out.Write(buf); err != nil {
-		out.Close()
-		return 0, err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return 0, err
-	}
-	if err := out.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, err
-	}
-	return fi.Size() - int64(len(buf)), nil
+	return fi.Size(), nil
 }
 
 // nextCkptSeq reserves the next checkpoint sequence number.

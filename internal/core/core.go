@@ -410,6 +410,12 @@ func WithReadOnly() TxOption { return readOnlyOption }
 // not declared Ordered in its IndexSpec.
 var ErrUnordered = storage.ErrUnordered
 
+// ErrDuplicateKey is returned by Insert when the new row's primary key (the
+// key of index 0) is already held, on every scheme. On MV a concurrent
+// uncommitted insert of the key holds it too (first writer wins); on 1V
+// such an insert blocks the second on the key's lock instead.
+var ErrDuplicateKey = storage.ErrDuplicateKey
+
 // ErrNotComposite is returned when ScanPrefix is called on an index whose
 // IndexSpec declared no Composite key layout.
 var ErrNotComposite = errors.New("core: index has no composite key layout")

@@ -11,8 +11,8 @@ import (
 // TestRowFootprint pins what one loaded row costs in live heap, per scheme:
 // the paper's 24-byte row in a hash table sized to the row count. An MV row
 // is one 128-byte version (payload inline) plus its 16-byte hash bucket, 144
-// bytes; a 1V row is one 96-byte record, the 24-byte payload it retains and
-// its 16-byte bucket with the key lock, 136 bytes. A field that pushes
+// bytes; a 1V row is one 64-byte record, the 24-byte payload it retains and
+// its 16-byte bucket with the key lock, 104 bytes. A field that pushes
 // either row format into the next size class, or a bucket past 16 bytes,
 // fails here.
 func TestRowFootprint(t *testing.T) {
@@ -22,7 +22,7 @@ func TestRowFootprint(t *testing.T) {
 		max    float64 // bytes per row
 	}{
 		{core.MVOptimistic, 152},
-		{core.SingleVersion, 144},
+		{core.SingleVersion, 112},
 	} {
 		var before, after runtime.MemStats
 		settleHeap()

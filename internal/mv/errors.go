@@ -3,6 +3,7 @@ package mv
 import (
 	"errors"
 
+	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -41,6 +42,7 @@ var (
 	// ErrDuplicateKey is returned by Insert when another version of the same
 	// primary key is, or may yet become, the latest: the key visibly exists,
 	// or a concurrent transaction is inserting it (first writer wins). The
-	// insert has doomed the transaction — it must abort.
-	ErrDuplicateKey = errors.New("mv: duplicate primary key")
+	// insert has doomed the transaction — it must abort. It aliases
+	// storage.ErrDuplicateKey, which the 1V engine returns too.
+	ErrDuplicateKey = storage.ErrDuplicateKey
 )

@@ -52,6 +52,11 @@ type TableSpec struct {
 // does not maintain key order (a hash index).
 var ErrUnordered = errors.New("storage: index does not support range scans")
 
+// ErrDuplicateKey is returned by an insert whose primary key (the key of
+// index 0) another record already holds. Both engines return it, so
+// errors.Is matches across them.
+var ErrDuplicateKey = errors.New("storage: duplicate primary key")
+
 // Index is a table access method. Records are only reachable through
 // indexes (Section 2.1); the engines never touch a version except through
 // one of these.

@@ -46,7 +46,7 @@ func (e *Engine) Capture(tables []*Table, fn func(t *Table, key uint64, payload 
 				if r.deleted {
 					continue
 				}
-				if err := fn(t, r.link(0).key, r.payload); err != nil {
+				if err := fn(t, r.link(0).key, r.Payload()); err != nil {
 					return err
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/storage"
 	"repro/internal/ts"
@@ -133,6 +134,9 @@ type svIndex interface {
 	ordinal() int
 	ordered() bool
 	keyOf(payload []byte) uint64
+	// chain returns the head of the record chain that holds key's records;
+	// the caller holds a cover of key.
+	chain(key uint64) *Record
 	// link adds r to the chain for its cached key; the caller holds the
 	// covering exclusive lock.
 	link(r *Record)
@@ -185,14 +189,24 @@ type recordChain struct {
 
 // Record is a single-version record, one allocation for tables of up to two
 // indexes: the chain slots of ordinals 0 and 1 sit inline, and only ordinals
-// 2 and up spill into more (the shape of storage.Version). Payload and chain
-// slots are read under the covering locks (bucket keyLocks for hash indexes,
-// range locks for ordered ones) and written under exclusive covers.
+// 2 and up spill into a separate array behind more (the shape of
+// storage.Version). Payload and chain slots are read under the covering
+// locks (bucket keyLocks for hash indexes, range locks for ordered ones) and
+// written under exclusive covers.
+//
+// A Record is 56 bytes, so it lands in the 64 B size class, whose objects
+// start 64-byte aligned: one record is one cache line. The payload is kept
+// by reference as an address and a 32-bit length (the WAL frames payload
+// lengths as 32 bits too), and the spill slots as one pointer, so neither
+// costs a 24-byte slice header.
 type Record struct {
-	payload []byte
+	payload *byte
+	plen    uint32
 	deleted bool
 	inline  [2]link
-	more    []link
+	// more is the first of the spill slots of ordinals 2 and up, one array
+	// of len(t.indexes)-2 links; nil on tables of up to two indexes.
+	more *link
 }
 
 // link is a record's slot in one index: the cached index key, kept in sync
@@ -204,9 +218,10 @@ type link struct {
 
 // newRecord allocates a record for t with its index keys cached.
 func newRecord(t *Table, payload []byte) *Record {
-	r := &Record{payload: payload}
+	r := &Record{}
+	r.setPayload(payload)
 	if n := len(t.indexes); n > len(r.inline) {
-		r.more = make([]link, n-len(r.inline))
+		r.more = &make([]link, n-len(r.inline))[0]
 	}
 	for ord, ix := range t.indexes {
 		r.link(ord).key = ix.keyOf(payload)
@@ -214,22 +229,35 @@ func newRecord(t *Table, payload []byte) *Record {
 	return r
 }
 
-// link returns r's chain slot in index ord.
+// link returns r's chain slot in index ord. An ordinal of 2 and up is one of
+// r's table's indexes, so the spill array has at least ord-1 slots.
 func (r *Record) link(ord int) *link {
 	if ord < len(r.inline) {
 		return &r.inline[ord]
 	}
-	return &r.more[ord-len(r.inline)]
+	return &unsafe.Slice(r.more, ord-1)[ord-len(r.inline)]
 }
 
 // Payload returns the record's current payload. The caller must be holding
 // the covering lock (i.e. be inside a scan callback or own the record's
-// exclusive lock); the slice must not be modified.
-func (r *Record) Payload() []byte { return r.payload }
+// exclusive lock); the slice must not be modified. Its capacity equals its
+// length, so an append copies instead of writing past the payload.
+func (r *Record) Payload() []byte { return unsafe.Slice(r.payload, r.plen) }
+
+// setPayload points r at payload, which r keeps by reference. The caller
+// holds r's exclusive covers, or r is not yet linked.
+func (r *Record) setPayload(payload []byte) {
+	r.payload, r.plen = unsafe.SliceData(payload), uint32(len(payload))
+}
 
 func (ix *hashIndex) ordinal() int          { return ix.ord }
 func (ix *hashIndex) ordered() bool         { return false }
 func (ix *hashIndex) keyOf(p []byte) uint64 { return ix.spec.Key(p) }
+
+func (ix *hashIndex) chain(key uint64) *Record {
+	b, _ := ix.bucket(key)
+	return b.head
+}
 
 // bucket returns key's bucket and the wait stripe of its lock.
 func (ix *hashIndex) bucket(key uint64) (*bucket, *waitStripe) {
@@ -273,6 +301,13 @@ func unlinkChain(head **Record, r *Record, ord int) {
 func (ix *orderedIndex) ordinal() int          { return ix.ord }
 func (ix *orderedIndex) ordered() bool         { return true }
 func (ix *orderedIndex) keyOf(p []byte) uint64 { return ix.spec.Key(p) }
+
+func (ix *orderedIndex) chain(key uint64) *Record {
+	if n := ix.list.Get(key); n != nil {
+		return n.V.head
+	}
+	return nil
+}
 
 // link adds r to its key's chain, reviving a marked node or — if the
 // sweeper already unlinked it — retrying with a fresh node. The caller

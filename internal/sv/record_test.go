@@ -2,6 +2,7 @@ package sv
 
 import (
 	"encoding/binary"
+	"iter"
 	"slices"
 	"testing"
 	"unsafe"
@@ -14,10 +15,35 @@ func TestRecordSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit targets")
 	}
-	// 88 bytes: the 96 B size class, the same bytes as the former record
-	// header plus its separate keys and next arrays on a one-index table.
-	if got := unsafe.Sizeof(Record{}); got > 96 {
-		t.Fatalf("unsafe.Sizeof(Record{}) = %d, want <= 96", got)
+	// 56 bytes: the 64 B size class, one cache line per record.
+	if got := unsafe.Sizeof(Record{}); got != 56 {
+		t.Fatalf("unsafe.Sizeof(Record{}) = %d, want 56", got)
+	}
+}
+
+// TestRecordCacheLineAligned checks what the layout relies on: the 64-byte
+// size class hands out 64-byte-aligned objects, so every loaded record is
+// one hardware cache line.
+func TestRecordCacheLineAligned(t *testing.T) {
+	e := NewEngine(Config{})
+	tbl, err := e.CreateTable(storage.TableSpec{Name: "t", Indexes: ovIndexes[:2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pk := uint64(0); pk < 1000; pk++ {
+		e.LoadRow(tbl, ovRow{pk, pk % ovHashDomain, pk}.payload())
+	}
+	for ord := range 2 {
+		n := 0
+		for r := range linkedRecordsSeq(tbl, ord) {
+			if a := uintptr(unsafe.Pointer(r)); a%64 != 0 {
+				t.Fatalf("record %d of index %d at %#x is not 64-byte aligned", n, ord, a)
+			}
+			n++
+		}
+		if n != 1000 {
+			t.Fatalf("index %d links %d records, want 1000", ord, n)
+		}
 	}
 }
 
@@ -50,7 +76,7 @@ func ovField(off int) func([]byte) uint64 {
 }
 
 // ovIndexes are the overflow table's indexes: ordinals 0 and 1 sit in the
-// record's inline slots, 2 and 3 in its spill slice.
+// record's inline slots, 2 and 3 in its spill array.
 var ovIndexes = []storage.IndexSpec{
 	{Name: "pk", Key: ovField(0), Buckets: 64},
 	{Name: "pk_ord", Key: ovField(0), Ordered: true},
@@ -73,17 +99,17 @@ func checkOverflowIndexes(t *testing.T, step string, tx *Tx, tbl *Table, model m
 		}
 		got := map[uint64][]uint64{}
 		collect := func(rec *Record) bool {
-			k := spec.Key(rec.payload)
+			k := spec.Key(rec.Payload())
 			if rec.link(ord).key != k {
 				t.Errorf("%s: index %s caches key %d for a row whose key is %d", step, spec.Name, rec.link(ord).key, k)
 			}
-			got[k] = append(got[k], ovField(0)(rec.payload))
+			got[k] = append(got[k], ovField(0)(rec.Payload()))
 			return true
 		}
 		if spec.Ordered {
 			last := uint64(0)
 			err := tx.ScanRange(tbl, ord, 0, ^uint64(0), nil, func(rec *Record) bool {
-				if k := spec.Key(rec.payload); k < last {
+				if k := spec.Key(rec.Payload()); k < last {
 					t.Errorf("%s: index %s out of order: %d after %d", step, spec.Name, k, last)
 				} else {
 					last = k
@@ -118,29 +144,47 @@ func checkOverflowIndexes(t *testing.T, step string, tx *Tx, tbl *Table, model m
 	}
 }
 
+// linkedRecordsSeq yields the records physically linked into index ord,
+// deleted ones included.
+func linkedRecordsSeq(tbl *Table, ord int) iter.Seq[*Record] {
+	return func(yield func(*Record) bool) {
+		walk := func(head *Record) bool {
+			for r := head; r != nil; r = r.link(ord).next {
+				if !yield(r) {
+					return false
+				}
+			}
+			return true
+		}
+		switch ix := tbl.indexes[ord].(type) {
+		case *hashIndex:
+			for i := range ix.buckets {
+				if !walk(ix.buckets[i].head) {
+					return
+				}
+			}
+		case *orderedIndex:
+			for node := ix.list.Seek(0); node != nil; node = node.Next() {
+				if !walk(node.V.head) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // linkedRecords counts the records physically linked into index ord,
 // deleted ones included.
 func linkedRecords(tbl *Table, ord int) int {
 	n := 0
-	switch ix := tbl.indexes[ord].(type) {
-	case *hashIndex:
-		for i := range ix.buckets {
-			for r := ix.buckets[i].head; r != nil; r = r.link(ord).next {
-				n++
-			}
-		}
-	case *orderedIndex:
-		for node := ix.list.Seek(0); node != nil; node = node.Next() {
-			for r := node.V.head; r != nil; r = r.link(ord).next {
-				n++
-			}
-		}
+	for range linkedRecordsSeq(tbl, ord) {
+		n++
 	}
 	return n
 }
 
 // TestRecordOverflowOrdinals drives a four-index table, whose ordinals 2 and
-// 3 live in Record.more, through insert, a key-moving update on ordinal 3 and
+// 3 live in Record.more's spill array, through insert, a key-moving update on ordinal 3 and
 // delete. Each step is checked inside its transaction, after its rollback,
 // and after it is redone and committed.
 func TestRecordOverflowOrdinals(t *testing.T) {

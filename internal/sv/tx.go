@@ -320,7 +320,7 @@ func scanChain(head *Record, ord int, key uint64, pred Pred, fn func(*Record) bo
 		if r.deleted || r.link(ord).key != key {
 			continue
 		}
-		if pred != nil && !pred(r.payload) {
+		if pred != nil && !pred(r.Payload()) {
 			continue
 		}
 		if !fn(r) {
@@ -364,7 +364,7 @@ func (tx *Tx) ScanRange(t *Table, indexOrd int, lo, hi uint64, pred Pred, fn fun
 			if r.deleted {
 				continue
 			}
-			if pred != nil && !pred(r.payload) {
+			if pred != nil && !pred(r.Payload()) {
 				continue
 			}
 			if !fn(r) {
@@ -404,6 +404,9 @@ func (tx *Tx) lockKeyX(ix svIndex, key uint64) error {
 // Insert creates a record, exclusively locking its key cover in every index
 // and linking it. Readers of those covers block until commit. The record
 // keeps payload by reference: the caller must not modify it after the call.
+// An insert of a primary key (the key of index 0) that a live record holds
+// fails with storage.ErrDuplicateKey; a record this transaction deleted no longer
+// holds its key.
 func (tx *Tx) Insert(t *Table, payload []byte) error {
 	if tx.done {
 		return ErrTxDone
@@ -420,12 +423,30 @@ func (tx *Tx) Insert(t *Table, payload []byte) error {
 			return err
 		}
 	}
+	if holdsKey(t.indexes[0].chain(r.inline[0].key), r.inline[0].key) {
+		return storage.ErrDuplicateKey
+	}
 	for _, ix := range t.indexes {
 		ix.link(r)
 	}
 	tx.undo = append(tx.undo, undoRec{kind: undoInsert, t: t, r: r})
 	tx.writes = append(tx.writes, wal.Entry{Table: t.Name, Op: wal.OpInsert, Key: r.link(0).key, Payload: payload})
 	return nil
+}
+
+// holdsKey reports whether the index-0 chain from head holds a live record
+// whose primary key is key. The caller holds key's exclusive cover, which
+// covers every record with that key, so the walk reads only settled records,
+// one cache line each.
+//
+//mvlint:noalloc
+func holdsKey(head *Record, key uint64) bool {
+	for r := head; r != nil; r = r.inline[0].next {
+		if !r.deleted && r.inline[0].key == key {
+			return true
+		}
+	}
+	return false
 }
 
 // lockRecordX exclusively locks every cover of r, verifying that r's
@@ -485,10 +506,10 @@ func (tx *Tx) Update(t *Table, r *Record, newPayload []byte) error {
 		kind:       undoUpdate,
 		t:          t,
 		r:          r,
-		oldPayload: r.payload,
+		oldPayload: r.Payload(),
 		oldKeys:    oldKeys,
 	})
-	r.payload = newPayload
+	r.setPayload(newPayload)
 	relink(t, r, newKeys)
 	tx.writes = append(tx.writes, wal.Entry{Table: t.Name, Op: wal.OpUpdate, Key: newKeys[0], Payload: newPayload})
 	return nil
@@ -530,7 +551,7 @@ func (tx *Tx) Delete(t *Table, r *Record) error {
 		kind:       undoDelete,
 		t:          t,
 		r:          r,
-		oldPayload: r.payload,
+		oldPayload: r.Payload(),
 		oldKeys:    oldKeys,
 	})
 	r.deleted = true
@@ -554,9 +575,7 @@ func (tx *Tx) collectMatches(t *Table, indexOrd int, key uint64, pred Pred) ([]*
 		if err := tx.lockRange(&ix.rl, key, key, false); err != nil {
 			return nil, err
 		}
-		if n := ix.list.Get(key); n != nil {
-			head = n.V.head
-		}
+		head = ix.chain(key)
 	}
 	// Detach the buffer while the caller iterates the result: a mut that
 	// re-enters the Tx must not append into it. putTargets reattaches it.
@@ -596,7 +615,7 @@ func (tx *Tx) UpdateWhere(t *Table, indexOrd int, key uint64, pred Pred, mut fun
 		return 0, err
 	}
 	for _, r := range targets {
-		if err = tx.Update(t, r, mut(r.payload)); err != nil {
+		if err = tx.Update(t, r, mut(r.Payload())); err != nil {
 			break
 		}
 	}
@@ -703,7 +722,7 @@ func (tx *Tx) rollback() {
 				ix.unlink(u.r, u.r.link(ord).key)
 			}
 		case undoUpdate:
-			u.r.payload = u.oldPayload
+			u.r.setPayload(u.oldPayload)
 			relink(u.t, u.r, u.oldKeys)
 		case undoDelete:
 			u.r.deleted = false
