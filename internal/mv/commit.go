@@ -417,8 +417,9 @@ func (tx *Tx) rescan(sc *scanRecord, end uint64) error {
 		}
 	}
 	b := sc.ix.Lookup(sc.lo)
+	match := storage.MatchKey(sc.ix, sc.lo)
 	for v := b.Head(); v != nil; v = v.Next(ord) {
-		if v.Key(ord) != sc.lo {
+		if !match.Holds(v) {
 			continue
 		}
 		if err := check(v); err != nil {

@@ -45,4 +45,7 @@ var (
 	// insert has doomed the transaction — it must abort. It aliases
 	// storage.ErrDuplicateKey, which the 1V engine returns too.
 	ErrDuplicateKey = storage.ErrDuplicateKey
+	// ErrPayloadTooLarge is returned by Insert and Update for a payload above
+	// storage.MaxPayload bytes, the most a version's length word holds.
+	ErrPayloadTooLarge = errors.New("mv: payload above storage.MaxPayload")
 )

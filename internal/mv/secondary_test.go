@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -95,6 +96,23 @@ func TestSecondaryDuplicateChains(t *testing.T) {
 		t.Fatalf("after migration: group0=%d group1=%d", g0, g1)
 	}
 	mustCommit(t, tx)
+}
+
+// drainUntil runs garbage collection rounds, each behind an empty
+// transaction that advances the clock, until done holds or a deadline
+// passes. A fixed number of rounds is not enough: a reader pin held across
+// them (the background deadlock detector pins its walk's read time, and
+// under CPU load its goroutine can be descheduled mid-walk) keeps the
+// watermark below the last deletes until the pin's holder runs again.
+func drainUntil(t *testing.T, e *Engine, done func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !done() && time.Now().Before(deadline) {
+		tx := e.Begin(Optimistic, SnapshotIsolation)
+		mustCommit(t, tx)
+		e.CollectGarbage(1 << 20)
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 // TestSecondaryChurnRaceMV is the concurrent churn stress: writers migrate
@@ -234,11 +252,10 @@ func TestSecondaryChurnRaceMV(t *testing.T) {
 		}
 		mustCommit(t, tx)
 	}
-	for i := 0; i < 8; i++ {
-		tx := e.Begin(Optimistic, SnapshotIsolation)
-		mustCommit(t, tx)
-		e.CollectGarbage(1 << 20)
-	}
+	drainUntil(t, e, func() bool {
+		marked, _ := ix.NodeStats()
+		return ix.Keys() == 0 && marked == 0 && e.Stats().IndexNodesSwept > 0
+	})
 	if keys := ix.Keys(); keys != 0 {
 		t.Fatalf("secondary index still holds %d keys after all rows deleted", keys)
 	}

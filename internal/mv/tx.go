@@ -158,8 +158,9 @@ func (tx *Tx) scan(t *storage.Table, indexOrd int, key uint64, pred Pred, forUpd
 	if b == nil {
 		return nil // ordered index, key never inserted
 	}
+	match := storage.MatchKey(ix, key)
 	for v := b.Head(); v != nil; v = v.Next(indexOrd) {
-		if v.Key(indexOrd) != key {
+		if !match.Holds(v) {
 			continue
 		}
 		if pred != nil && !pred(v.Payload()) {
@@ -383,6 +384,9 @@ func (tx *Tx) Insert(t *storage.Table, payload []byte) error {
 	if tx.e.cfg.Log.Failed() {
 		return ErrDegraded
 	}
+	if len(payload) > storage.MaxPayload {
+		return ErrPayloadTooLarge
+	}
 	v := tx.e.vpool.Get(payload, t.NumIndexes(), field.FromTxID(tx.T.ID()), infinityWord)
 	t.Insert(v)
 	tx.writeSet = append(tx.writeSet, writeRec{t, nil, v, wal.OpInsert, v.Key(0)})
@@ -415,7 +419,7 @@ func (tx *Tx) Insert(t *storage.Table, payload []byte) error {
 	// failed); abort postprocessing makes the linked version garbage.
 	for ord := 0; ord < t.NumIndexes(); ord++ {
 		ix := t.Index(ord)
-		if err := tx.insertDeps(ix, v.Key(ix.Ord())); err != nil {
+		if err := tx.insertDeps(ix, storage.KeyOf(ix, v)); err != nil {
 			tx.T.RequestAbort()
 			return err
 		}
@@ -435,10 +439,10 @@ func (tx *Tx) Insert(t *storage.Table, payload []byte) error {
 // checkVisibility.
 func (tx *Tx) insertUniqueCheck(t *storage.Table, self *storage.Version) error {
 	ix := t.Index(0)
-	ord := ix.Ord()
-	key := self.Key(ord)
-	for v := ix.Lookup(key).Head(); v != nil; v = v.Next(ord) {
-		if v == self || v.Key(ord) != key {
+	key := self.Key(0)
+	match := storage.MatchKey(ix, key)
+	for v := ix.Lookup(key).Head(); v != nil; v = v.Next(0) {
+		if v == self || !match.Holds(v) {
 			continue
 		}
 		conflict, err := tx.versionMayStayLatest(v)
@@ -550,6 +554,9 @@ func (tx *Tx) Update(t *storage.Table, old *storage.Version, newPayload []byte) 
 	if tx.e.cfg.Log.Failed() {
 		return ErrDegraded
 	}
+	if len(newPayload) > storage.MaxPayload {
+		return ErrPayloadTooLarge
+	}
 	wasReadLocked, err := tx.installWriteLock(old)
 	if err != nil {
 		tx.e.writeConflicts.Add(1)
@@ -573,7 +580,7 @@ func (tx *Tx) Update(t *storage.Table, old *storage.Version, newPayload []byte) 
 	// transaction — the write is already staged.
 	for ord := 0; ord < t.NumIndexes(); ord++ {
 		ix := t.Index(ord)
-		key, oldKey := nv.Key(ix.Ord()), old.Key(ix.Ord())
+		key, oldKey := storage.KeyOf(ix, nv), storage.KeyOf(ix, old)
 		err := tx.insertDeps(ix, key)
 		if err == nil && oldKey != key {
 			err = tx.insertDeps(ix, oldKey)
@@ -607,14 +614,14 @@ func (tx *Tx) Delete(t *storage.Table, old *storage.Version) error {
 		tx.T.AddWaitFor()
 		tx.updatedReadLocked = true
 	}
-	tx.writeSet = append(tx.writeSet, writeRec{t, old, nil, wal.OpDelete, t.Index(0).Key(old.Payload())})
+	tx.writeSet = append(tx.writeSet, writeRec{t, old, nil, wal.OpDelete, old.Key(0)})
 	// Every key of the deleted version leaves its index: a serializable scan
 	// lock on any of them makes tx wait for the holder, as an insert would.
 	// The check follows the write lock for the same reason Insert's follows
 	// linking (see stabilize).
 	for ord := 0; ord < t.NumIndexes(); ord++ {
 		ix := t.Index(ord)
-		if err := tx.insertDeps(ix, old.Key(ix.Ord())); err != nil {
+		if err := tx.insertDeps(ix, storage.KeyOf(ix, old)); err != nil {
 			tx.T.RequestAbort()
 			return err
 		}

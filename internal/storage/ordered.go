@@ -75,7 +75,7 @@ func (ix *OrderedIndex) Lookup(key uint64) *Bucket {
 // with the sweeper (it is already unlinked), the insert retries and creates
 // a fresh node: versions are never linked into an unreachable chain.
 func (ix *OrderedIndex) Link(v *Version) {
-	key := v.Key(ix.ord)
+	key := KeyOf(ix, v)
 	for {
 		n := ix.list.GetOrCreate(key)
 		b := &n.V
@@ -95,7 +95,7 @@ func (ix *OrderedIndex) Link(v *Version) {
 // marked logically deleted (rechecked under the bucket latch, which
 // serializes against Link's revival) and queued for the sweeper.
 func (ix *OrderedIndex) Unlink(v *Version) {
-	n := ix.list.Get(v.Key(ix.ord))
+	n := ix.list.Get(KeyOf(ix, v))
 	if n == nil {
 		return
 	}

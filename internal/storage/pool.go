@@ -53,9 +53,10 @@ func (p *VersionPool) Put(v *Version) {
 	if v == nil {
 		return
 	}
-	// Drop the payload reference now: for large (non-inline) payloads this
-	// releases the caller's buffer even while the version sits in the pool.
-	v.payload, v.plen = nil, 0
+	// Rearm it empty now: for large (non-inline) payloads this drops the
+	// reference to the caller's buffer even while the version sits in the
+	// pool, wherever the address was kept.
+	v.Reset(nil, 1, 0, 0)
 	p.pool.Put(v)
 }
 

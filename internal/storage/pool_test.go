@@ -52,11 +52,12 @@ func TestArenaUnservedSizes(t *testing.T) {
 func TestVersionPoolReuse(t *testing.T) {
 	var p VersionPool
 	v1 := p.Get([]byte{1, 1, 1}, 3, field.FromTS(5), field.FromTS(field.Infinity))
-	if v1.Key(2) != 0 || v1.Next(2) != nil {
+	if v1.Next(2) != nil {
 		t.Fatal("fresh version has dirty spill slots")
 	}
-	v1.setKey(2, 42)
+	v1.key0 = 42
 	v1.setNext(0, v1)
+	v1.setNext(2, v1)
 	v1.MarkUnlinked()
 	p.Put(v1)
 	v2 := p.Get([]byte{9, 9}, 1, field.FromTS(7), field.FromTS(9))
@@ -66,8 +67,8 @@ func TestVersionPoolReuse(t *testing.T) {
 	if !bytes.Equal(v2.Payload(), []byte{9, 9}) {
 		t.Fatalf("payload not reset: %v", v2.Payload())
 	}
-	if v2.Next(0) != nil {
-		t.Fatal("chain pointer survived recycling")
+	if v2.Next(0) != nil || v2.Key(0) != 0 {
+		t.Fatal("chain pointer or cached key survived recycling")
 	}
 	if field.TS(v2.Begin()) != 7 || field.TS(v2.End()) != 9 {
 		t.Fatalf("begin/end not reset: %d/%d", v2.Begin(), v2.End())

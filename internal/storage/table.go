@@ -11,7 +11,10 @@ import (
 )
 
 // KeyFunc extracts the index key from a record payload. Payload layouts are
-// application-defined; the engine only needs a 64-bit key per index.
+// application-defined; the engine only needs a 64-bit key per index. It must
+// be a pure function of the payload: a version caches only its primary key,
+// so the MV engine calls the other indexes' key functions again whenever it
+// needs a key (KeyOf, MatchKey).
 type KeyFunc func(payload []byte) uint64
 
 // IndexSpec describes one index of a table.
@@ -57,6 +60,42 @@ var ErrUnordered = errors.New("storage: index does not support range scans")
 // errors.Is matches across them.
 var ErrDuplicateKey = errors.New("storage: duplicate primary key")
 
+// KeyMatch picks the versions that hold one key out of a bucket chain of one
+// index. An ordered index's chain holds exactly one key, so every version
+// matches; a hash chain also holds colliding keys, compared through the
+// cached primary key on ordinal 0 and through the index's key function,
+// taken out of the Index interface once per walk, on the other ordinals.
+type KeyMatch struct {
+	key uint64
+	fn  KeyFunc // nil: compare the cached primary key
+	all bool    // ordered index: every version holds key
+}
+
+// MatchKey returns the filter for key on a chain of ix.
+func MatchKey(ix Index, key uint64) KeyMatch {
+	h, ok := ix.(*HashIndex)
+	switch {
+	case !ok:
+		return KeyMatch{all: true}
+	case h.ord == 0:
+		return KeyMatch{key: key}
+	default:
+		return KeyMatch{key: key, fn: h.spec.Key}
+	}
+}
+
+// Holds reports whether v holds the key.
+func (m KeyMatch) Holds(v *Version) bool {
+	switch {
+	case m.all:
+		return true
+	case m.fn == nil:
+		return v.key0 == m.key
+	default:
+		return m.fn(v.Payload()) == m.key
+	}
+}
+
 // Index is a table access method. Records are only reachable through
 // indexes (Section 2.1); the engines never touch a version except through
 // one of these.
@@ -79,11 +118,11 @@ type Index interface {
 	Key(payload []byte) uint64
 	// Lookup returns the bucket that holds versions with the given key, or
 	// nil when no such bucket exists. A hash bucket also holds colliding
-	// keys (callers filter on Version.Key); an ordered index's bucket holds
+	// keys (callers filter with MatchKey); an ordered index's bucket holds
 	// exactly one key, and Lookup returns nil for keys never inserted.
 	Lookup(key uint64) *Bucket
-	// Link inserts v at the head of its bucket chain. The version's cached
-	// key for this index must already be set.
+	// Link inserts v at the head of its bucket chain. The version's primary
+	// key must already be cached (Table.Insert does).
 	Link(v *Version)
 	// Unlink removes v from its bucket chain (garbage collection).
 	Unlink(v *Version)
@@ -181,13 +220,11 @@ func (t *Table) IndexByName(name string) (Index, bool) {
 	return nil, false
 }
 
-// Insert links v into every index of the table, caching the index keys in
+// Insert links v into every index of the table, caching the primary key in
 // the version. The version must have been allocated for this table's index
 // count.
 func (t *Table) Insert(v *Version) {
-	for _, ix := range t.indexes {
-		v.setKey(ix.Ord(), ix.Key(v.Payload()))
-	}
+	v.key0 = t.indexes[0].Key(v.Payload())
 	for _, ix := range t.indexes {
 		ix.Link(v)
 	}
@@ -307,7 +344,7 @@ func (ix *HashIndex) RangeLocks() *RangeLockTable { return nil }
 
 // Link inserts v at the head of its bucket chain.
 func (ix *HashIndex) Link(v *Version) {
-	b := ix.Bucket(v.Key(ix.ord))
+	b := ix.Bucket(KeyOf(ix, v))
 	b.latch()
 	v.setNext(ix.ord, b.head.Load())
 	b.head.Store(v)
@@ -316,7 +353,7 @@ func (ix *HashIndex) Link(v *Version) {
 
 // Unlink removes v from its bucket chain.
 func (ix *HashIndex) Unlink(v *Version) {
-	ix.Bucket(v.Key(ix.ord)).unlink(v, ix.ord)
+	ix.Bucket(KeyOf(ix, v)).unlink(v, ix.ord)
 }
 
 // unlink removes v from b's chain; shared by both index kinds. It reports

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 var allSchemes = []core.Scheme{core.SingleVersion, core.MVPessimistic, core.MVOptimistic}
@@ -181,5 +183,27 @@ func TestMixUnderHarness(t *testing.T) {
 func TestRowExistsErrorText(t *testing.T) {
 	if got := errRowExists.Error(); got != "tatp: call forwarding row exists" {
 		t.Fatalf("errRowExists = %q; benchmark/run.go:specifiedMiss matches the old text", got)
+	}
+}
+
+// TestRowsFitInlinePayload: every TATP row, and the Section 5 workloads'
+// 24-byte row, fits an MV version's inline payload buffer, so loading or
+// updating one allocates no payload beside its version (docs/perf.md, "The
+// version layout").
+func TestRowsFitInlinePayload(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, r := range []struct {
+		table string
+		row   []byte
+	}{
+		{"SUBSCRIBER", subscriberRow(1, rng)},
+		{"ACCESS_INFO", accessInfoRow(1, 1, rng)},
+		{"SPECIAL_FACILITY", specialFacRow(1, 1, rng)},
+		{"CALL_FORWARDING", callFwdRow(1, 1, 0, rng)},
+		{"workload.RowSize", make([]byte, workload.RowSize)},
+	} {
+		if len(r.row) > storage.InlinePayload {
+			t.Errorf("%s row is %d bytes, above storage.InlinePayload (%d)", r.table, len(r.row), storage.InlinePayload)
+		}
 	}
 }
