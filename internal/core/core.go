@@ -416,6 +416,10 @@ var ErrUnordered = storage.ErrUnordered
 // such an insert blocks the second on the key's lock instead.
 var ErrDuplicateKey = storage.ErrDuplicateKey
 
+// ErrPayloadTooLarge is returned by Insert and Update for a payload above
+// storage.MaxPayload bytes, on every scheme.
+var ErrPayloadTooLarge = storage.ErrPayloadTooLarge
+
 // ErrNotComposite is returned when ScanPrefix is called on an index whose
 // IndexSpec declared no Composite key layout.
 var ErrNotComposite = errors.New("core: index has no composite key layout")

@@ -46,6 +46,7 @@ var (
 	// storage.ErrDuplicateKey, which the 1V engine returns too.
 	ErrDuplicateKey = storage.ErrDuplicateKey
 	// ErrPayloadTooLarge is returned by Insert and Update for a payload above
-	// storage.MaxPayload bytes, the most a version's length word holds.
-	ErrPayloadTooLarge = errors.New("mv: payload above storage.MaxPayload")
+	// storage.MaxPayload bytes, the most a version's length word holds. It
+	// aliases storage.ErrPayloadTooLarge, which the 1V engine returns too.
+	ErrPayloadTooLarge = storage.ErrPayloadTooLarge
 )

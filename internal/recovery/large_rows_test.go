@@ -19,7 +19,7 @@ var largeRowSizes = []int{storage.InlinePayload + 1, 200, 8 << 10, 8<<10 + 1}
 
 const (
 	largeRows    = 16      // keys 0..15; key k has size largeRowSizes[k%4]
-	largeSmallLo = 1 << 10 // first key of the 24-byte rows
+	largeSmallLo = 1 << 10 // first key of the rows reusing collected versions
 	largeTailLo  = 1 << 11 // first key inserted after the checkpoint
 	largeHi      = largeTailLo + 8
 )
@@ -75,8 +75,9 @@ func checkLargeRows(t *testing.T, db *core.Database, tbl *core.Table, want map[u
 
 // TestRecoverLargeRows writes rows above the inline buffer on every engine:
 // loads, inserts and updates, each payload a fresh slice the engine keeps.
-// On MV the replaced versions are collected and reused for 24-byte rows,
-// which must leave the large rows intact. A checkpoint, a log tail and
+// On MV the replaced versions are collected and reused for rows of 29 to 44
+// bytes, inline in the same 96-byte shape, which must leave the large rows
+// intact. A checkpoint, a log tail and
 // recovery into a fresh database must bring every row back byte for byte.
 func TestRecoverLargeRows(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.MVOptimistic, core.MVPessimistic, core.SingleVersion} {
@@ -149,9 +150,11 @@ func runRecoverLargeRows(t *testing.T, scheme core.Scheme) {
 	}
 	checkLargeRows(t, db, tbl, want, "after update")
 
-	// MV: unlink every replaced version, then insert 24-byte rows, each
-	// commit advancing the clock and each GC round handing quiesced versions
-	// back to the pool, so the small rows land in recycled versions.
+	// MV: unlink every replaced version, then insert rows of 29 to 44 bytes,
+	// too big for a 64-byte version and inline in a 96-byte one, each commit
+	// advancing the clock and each GC round handing quiesced versions back
+	// to the pool, so the inline rows land in versions that held a payload
+	// by reference.
 	var recycled uint64
 	if e := db.MV(); e != nil {
 		for i := 0; e.Stats().VersionsReclaims < largeRows*rounds; i++ {
@@ -163,16 +166,17 @@ func runRecoverLargeRows(t *testing.T, scheme core.Scheme) {
 		recycled = e.Stats().VersionsRecycled
 	}
 	for k := uint64(largeSmallLo); k < largeSmallLo+32; k++ {
-		want[k] = workload.Row(k, k)
+		n := storage.SmallPayload1 + 1 + int(k%(storage.InlinePayload-storage.SmallPayload1))
+		want[k] = largeRow(k, k, n)
 		tx := db.Begin()
-		if err := tx.Insert(tbl, workload.Row(k, k)); err != nil {
+		if err := tx.Insert(tbl, largeRow(k, k, n)); err != nil {
 			t.Fatal(err)
 		}
 		commit(tx)
 		db.CollectGarbage(0)
 	}
 	if e := db.MV(); e != nil && e.Stats().VersionsRecycled == recycled {
-		t.Fatal("no 24-byte row reused a collected version")
+		t.Fatal("no inline row reused a collected version")
 	}
 	checkLargeRows(t, db, tbl, want, "after reuse")
 

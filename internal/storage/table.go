@@ -60,6 +60,10 @@ var ErrUnordered = errors.New("storage: index does not support range scans")
 // errors.Is matches across them.
 var ErrDuplicateKey = errors.New("storage: duplicate primary key")
 
+// ErrPayloadTooLarge is returned by an insert or update whose payload is
+// above MaxPayload bytes. Both engines return it.
+var ErrPayloadTooLarge = errors.New("storage: payload above MaxPayload")
+
 // KeyMatch picks the versions that hold one key out of a bucket chain of one
 // index. An ordered index's chain holds exactly one key, so every version
 // matches; a hash chain also holds colliding keys, compared through the

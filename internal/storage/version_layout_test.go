@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 	"weak"
@@ -10,66 +11,213 @@ import (
 	"repro/internal/field"
 )
 
-// TestVersionSize pins the 96-byte layout, so a field added to the version
-// fails here rather than quietly pushing it into the 128-byte size class.
-// A 96-byte object starts 32-byte aligned, so the first 32 bytes, all a
-// primary-index walk and a visibility check read, never cross a cache line.
+// TestVersionSize pins the three shapes: 64, 64 and 96 bytes, sharing the
+// 36-byte header at fixed offsets, so a field added to a shape fails here
+// rather than quietly pushing it into the next size class. A 64-byte object
+// starts 64-byte aligned and a 96-byte one 32-byte aligned, so the header,
+// all a primary-index walk and a visibility check read, never crosses a
+// cache line.
 func TestVersionSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	var v Version
-	if got := unsafe.Sizeof(v); got != 96 {
-		t.Fatalf("Version is %d bytes, want 96", got)
-	}
+	var (
+		h  Version
+		s1 smallVersion1
+		s2 smallVersion2
+		l  largeVersion
+	)
 	for _, f := range []struct {
 		name      string
 		off, want uintptr
 	}{
-		{"begin", unsafe.Offsetof(v.begin), 0},
-		{"end", unsafe.Offsetof(v.end), 8},
-		{"next0", unsafe.Offsetof(v.next0), 16},
-		{"key0", unsafe.Offsetof(v.key0), 24},
-		{"next1", unsafe.Offsetof(v.next1), 32},
-		{"ref", unsafe.Offsetof(v.ref), 40},
-		{"word", unsafe.Offsetof(v.word), 48},
-		{"inline", unsafe.Offsetof(v.inline), 52},
+		{"begin", unsafe.Offsetof(h.begin), 0},
+		{"end", unsafe.Offsetof(h.end), 8},
+		{"next0", unsafe.Offsetof(h.next0), 16},
+		{"key0", unsafe.Offsetof(h.key0), 24},
+		{"word", unsafe.Offsetof(h.word), 32},
+		{"inline", unsafe.Offsetof(h.inline), 36},
+		{"smallVersion1.Version", unsafe.Offsetof(s1.Version), 0},
+		{"smallVersion1 size", unsafe.Sizeof(s1), 64},
+		{"smallVersion1 inline end", unsafe.Offsetof(h.inline) + SmallPayload1, 64},
+		{"smallVersion2.Version", unsafe.Offsetof(s2.Version), 0},
+		{"smallVersion2.next1", unsafe.Offsetof(s2.next1), 56},
+		{"smallVersion2 size", unsafe.Sizeof(s2), 64},
+		{"smallVersion2 inline end", unsafe.Offsetof(h.inline) + SmallPayload2, 56},
+		{"largeVersion.Version", unsafe.Offsetof(l.Version), 0},
+		{"largeVersion.next1", unsafe.Offsetof(l.next1), 80},
+		{"largeVersion.ref", unsafe.Offsetof(l.ref), 88},
+		{"largeVersion size", unsafe.Sizeof(l), 96},
+		{"largeVersion inline end", unsafe.Offsetof(h.inline) + InlinePayload, 80},
 	} {
 		if f.off != f.want {
-			t.Errorf("Version.%s at offset %d, want %d", f.name, f.off, f.want)
+			t.Errorf("%s is %d, want %d", f.name, f.off, f.want)
 		}
 	}
-	if end := unsafe.Offsetof(v.inline) + InlinePayload; end != 96 {
-		t.Errorf("inline payload ends at %d, want 96", end)
+	for _, c := range []struct {
+		nix   int
+		n     int
+		align uintptr
+	}{{1, SmallPayload1, 64}, {2, SmallPayload2, 64}, {1, InlinePayload, 32}} {
+		for i := 0; i < 1000; i++ {
+			p := NewVersion(make([]byte, c.n), c.nix, field.FromTS(1), field.FromTS(field.Infinity))
+			if a := uintptr(unsafe.Pointer(p)); a%c.align != 0 {
+				t.Fatalf("%d-index %d-byte version %d at %#x is not %d-byte aligned", c.nix, c.n, i, a, c.align)
+			}
+		}
 	}
-	// The 96-byte size class starts its objects 32-byte aligned.
-	for i := 0; i < 1000; i++ {
-		p := NewVersion(pay(uint64(i)), 1, field.FromTS(1), field.FromTS(field.Infinity))
-		if a := uintptr(unsafe.Pointer(p)); a%32 != 0 {
-			t.Fatalf("version %d at %#x is not 32-byte aligned", i, a)
+}
+
+// inlineBuf is v's whole inline buffer, as long as its shape's capacity.
+func inlineBuf(v *Version) []byte {
+	n := InlinePayload
+	switch v.word.Load() & wordShape {
+	case wordSmall1:
+		n = SmallPayload1
+	case wordSmall2:
+		n = SmallPayload2
+	}
+	return unsafe.Slice(&v.inline[0], n)
+}
+
+// sizeClass is the spacing of versions of v's shape on the heap: the
+// smallest gap between the addresses of 128 fresh objects, which the
+// allocator places side by side in one span.
+func sizeClass(v *Version) uintptr {
+	addrs := make([]uintptr, 128)
+	keep := make([]*Version, len(addrs))
+	for i := range addrs {
+		keep[i] = newShape(v.word.Load() & wordShape)
+		addrs[i] = uintptr(unsafe.Pointer(keep[i]))
+	}
+	slices.Sort(addrs)
+	gap := ^uintptr(0)
+	for i := 1; i < len(addrs); i++ {
+		gap = min(gap, addrs[i]-addrs[i-1])
+	}
+	runtime.KeepAlive(keep)
+	return gap
+}
+
+// TestVersionShapes checks the shape chosen for payloads on both sides of
+// each inline capacity (20/21, 28/29, 44/45 bytes) on tables of one, two
+// and three indexes: the shape, its size class, the payload (inline or by
+// reference) and every chain slot. Reset refuses a payload or index count
+// the shape cannot hold, and a pooled round trip never hands a version to
+// a request for another shape.
+func TestVersionShapes(t *testing.T) {
+	type want struct {
+		shape uint32
+		class uintptr
+	}
+	small1, small2, large := want{wordSmall1, 64}, want{wordSmall2, 64}, want{0, 96}
+	cases := []struct {
+		n, nix int
+		want   want
+	}{
+		{20, 1, small1}, {21, 1, small1}, {28, 1, small1}, {29, 1, large}, {44, 1, large}, {45, 1, large},
+		{20, 2, small2}, {21, 2, large}, {28, 2, large}, {29, 2, large}, {44, 2, large}, {45, 2, large},
+		{20, 3, large}, {21, 3, large}, {28, 3, large}, {29, 3, large}, {44, 3, large}, {45, 3, large},
+	}
+	for _, c := range cases {
+		src := bytes.Repeat([]byte{byte(c.n)}, c.n)
+		v := NewVersion(src, c.nix, field.FromTS(1), field.FromTS(field.Infinity))
+		if got := v.word.Load() & wordShape; got != c.want.shape {
+			t.Fatalf("%d bytes, %d indexes: shape %#x, want %#x", c.n, c.nix, got, c.want.shape)
+		}
+		if got := sizeClass(v); got != c.want.class {
+			t.Fatalf("%d bytes, %d indexes: %d-byte size class, want %d", c.n, c.nix, got, c.want.class)
+		}
+		got := v.Payload()
+		if !bytes.Equal(got, src) {
+			t.Fatalf("%d bytes, %d indexes: payload reads %v", c.n, c.nix, got)
+		}
+		if inline := &got[0] == &v.inline[0]; inline != (c.n <= InlinePayload) {
+			t.Fatalf("%d bytes, %d indexes: inline = %v", c.n, c.nix, inline)
+		}
+		// Every chain slot starts clean, and each holds its own link.
+		others := make([]*Version, c.nix)
+		for ord := range others {
+			if v.Next(ord) != nil {
+				t.Fatalf("%d bytes, %d indexes: ordinal %d chain word is dirty", c.n, c.nix, ord)
+			}
+			others[ord] = NewVersion(nil, 1, 1, 2)
+			v.setNext(ord, others[ord])
+		}
+		for ord, o := range others {
+			if v.Next(ord) != o {
+				t.Fatalf("%d bytes, %d indexes: ordinal %d chain slot is shared", c.n, c.nix, ord)
+			}
+		}
+		if !bytes.Equal(v.Payload(), src) {
+			t.Fatalf("%d bytes, %d indexes: a chain store changed the payload", c.n, c.nix)
+		}
+	}
+
+	// Reset keeps a version in its shape and refuses what the shape cannot
+	// hold.
+	for _, c := range []struct {
+		shape  uint32
+		n, nix int
+	}{
+		{wordSmall1, SmallPayload1 + 1, 1}, {wordSmall1, 1, 2},
+		{wordSmall2, SmallPayload2 + 1, 1}, {wordSmall2, 1, 3},
+	} {
+		v := newShape(c.shape)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("shape %#x took a %d-byte payload on %d indexes", c.shape, c.n, c.nix)
+				}
+			}()
+			v.Reset(make([]byte, c.n), c.nix, 1, 2)
+		}()
+	}
+
+	// Round trips through one pool, in an order that offers every shape's
+	// recycled versions to every request.
+	var p VersionPool
+	for round := 0; round < 3; round++ {
+		for _, c := range cases {
+			src := bytes.Repeat([]byte{byte(round)}, c.n)
+			v := p.Get(src, c.nix, field.FromTS(1), field.FromTS(field.Infinity))
+			if got := v.word.Load() & wordShape; got != c.want.shape {
+				t.Fatalf("round %d, %d bytes, %d indexes: pool handed shape %#x, want %#x", round, c.n, c.nix, got, c.want.shape)
+			}
+			if !bytes.Equal(v.Payload(), src) {
+				t.Fatalf("round %d, %d bytes, %d indexes: payload reads %v", round, c.n, c.nix, v.Payload())
+			}
+			for ord := 0; ord < c.nix; ord++ {
+				if v.Next(ord) != nil {
+					t.Fatalf("round %d, %d bytes, %d indexes: ordinal %d chain word is dirty", round, c.n, c.nix, ord)
+				}
+				v.setNext(ord, v)
+			}
+			p.Put(v)
 		}
 	}
 }
 
 // TestVersionPayloadCapacity checks that Payload's capacity is its length
-// for inline and by-reference payloads alike, so an append by a caller
-// copies instead of writing into the version's inline buffer or past the
-// caller's slice.
+// for inline and by-reference payloads alike, in every shape, so an append
+// by a caller copies instead of writing into the version's inline buffer
+// or past the caller's slice.
 func TestVersionPayloadCapacity(t *testing.T) {
-	for _, n := range []int{0, 8, InlinePayload, InlinePayload + 1, 200} {
-		src := bytes.Repeat([]byte{0x5A}, n)
-		v := new(Version)
-		v.Reset(src, 1, field.FromTS(1), field.FromTS(field.Infinity))
-		p := v.Payload()
-		if len(p) != n || cap(p) != n || !bytes.Equal(p, src) {
-			t.Fatalf("n=%d: payload len %d cap %d", n, len(p), cap(p))
-		}
-		_ = append(p, 0xFF)
-		if got := v.Payload(); !bytes.Equal(got, src) {
-			t.Fatalf("n=%d: append through Payload changed the version", n)
-		}
-		if n < InlinePayload && v.inline[n] != 0 {
-			t.Fatalf("n=%d: append wrote into the inline buffer", n)
+	for _, nix := range []int{1, 2, 3} {
+		for _, n := range []int{0, 8, SmallPayload2, SmallPayload1, InlinePayload, InlinePayload + 1, 200} {
+			src := bytes.Repeat([]byte{0x5A}, n)
+			v := NewVersion(src, nix, field.FromTS(1), field.FromTS(field.Infinity))
+			p := v.Payload()
+			if len(p) != n || cap(p) != n || !bytes.Equal(p, src) {
+				t.Fatalf("n=%d, %d indexes: payload len %d cap %d", n, nix, len(p), cap(p))
+			}
+			_ = append(p, 0xFF)
+			if got := v.Payload(); !bytes.Equal(got, src) {
+				t.Fatalf("n=%d, %d indexes: append through Payload changed the version", n, nix)
+			}
+			if buf := inlineBuf(v); n < len(buf) && buf[n] != 0 {
+				t.Fatalf("n=%d, %d indexes: append wrote into the inline buffer", n, nix)
+			}
 		}
 	}
 	if v := NewVersion(nil, 1, 1, 2); v.Payload() == nil {
@@ -110,17 +258,17 @@ func TestVersionRetainedPayload(t *testing.T) {
 	}
 }
 
-// TestVersionSharedPointerModes runs one version through recycles that move
-// the payload address between the shared pointer and the extension: four
-// indexes with a large payload, one index with a large payload, two indexes
-// inline, then five indexes. After each rearm the payload reads back, every
+// TestVersionSharedPointerModes runs one large version through recycles
+// that move the payload address between the shared pointer and the
+// extension: four indexes with a large payload, one index with a large
+// payload, two indexes inline, then five indexes. After each rearm the payload reads back, every
 // spill slot of the whole capacity and every chain word reads clean, and
 // marking the version unlinked leaves its payload length intact.
 func TestVersionSharedPointerModes(t *testing.T) {
 	big1 := bytes.Repeat([]byte{1}, 200)
 	big2 := bytes.Repeat([]byte{2}, InlinePayload+1)
 	small := bytes.Repeat([]byte{3}, 24)
-	v := new(Version)
+	v := newShape(0)
 	for step, c := range []struct {
 		nix     int
 		payload []byte
@@ -137,8 +285,8 @@ func TestVersionSharedPointerModes(t *testing.T) {
 		// current payload's or nil.
 		x := v.ext()
 		if x == nil {
-			if step > 0 || v.ref != unsafe.Pointer(&c.payload[0]) {
-				t.Fatalf("step %d: shared pointer %p, want the payload", step, v.ref)
+			if step > 0 || v.large().ref != unsafe.Pointer(&c.payload[0]) {
+				t.Fatalf("step %d: shared pointer %p, want the payload", step, v.large().ref)
 			}
 		} else {
 			if len(x.more) != max(c.nix-2, 0) {

@@ -245,7 +245,8 @@ func (r *Record) link(ord int) *link {
 func (r *Record) Payload() []byte { return unsafe.Slice(r.payload, r.plen) }
 
 // setPayload points r at payload, which r keeps by reference. The caller
-// holds r's exclusive covers, or r is not yet linked.
+// holds r's exclusive covers, or r is not yet linked. Its callers refuse a
+// payload above storage.MaxPayload first.
 func (r *Record) setPayload(payload []byte) {
 	r.payload, r.plen = unsafe.SliceData(payload), uint32(len(payload))
 }
@@ -410,7 +411,11 @@ func (e *Engine) ReclaimNodes(limit int) (swept int) {
 }
 
 // LoadRow inserts a record without locking. Single-threaded bulk load only.
+// A payload above storage.MaxPayload panics, as on MV.
 func (e *Engine) LoadRow(t *Table, payload []byte) {
+	if len(payload) > storage.MaxPayload {
+		panic(fmt.Sprintf("sv: %d-byte payload above storage.MaxPayload", len(payload)))
+	}
 	r := newRecord(t, payload)
 	for _, ix := range t.indexes {
 		ix.link(r)

@@ -406,7 +406,8 @@ func (tx *Tx) lockKeyX(ix svIndex, key uint64) error {
 // keeps payload by reference: the caller must not modify it after the call.
 // An insert of a primary key (the key of index 0) that a live record holds
 // fails with storage.ErrDuplicateKey; a record this transaction deleted no longer
-// holds its key.
+// holds its key. A payload above storage.MaxPayload fails with
+// storage.ErrPayloadTooLarge, as on MV.
 func (tx *Tx) Insert(t *Table, payload []byte) error {
 	if tx.done {
 		return ErrTxDone
@@ -416,6 +417,9 @@ func (tx *Tx) Insert(t *Table, payload []byte) error {
 	}
 	if tx.e.cfg.Log.Failed() {
 		return ErrDegraded
+	}
+	if len(payload) > storage.MaxPayload {
+		return storage.ErrPayloadTooLarge
 	}
 	r := newRecord(t, payload)
 	for ord, ix := range t.indexes {
@@ -475,7 +479,8 @@ func (tx *Tx) lockRecordX(t *Table, r *Record) ([]uint64, error) {
 
 // Update overwrites r's payload in place, relocating it between chains if an
 // index key changed. The record keeps newPayload by reference: the caller
-// must not modify it after the call.
+// must not modify it after the call. A payload above storage.MaxPayload
+// fails with storage.ErrPayloadTooLarge.
 func (tx *Tx) Update(t *Table, r *Record, newPayload []byte) error {
 	if tx.done {
 		return ErrTxDone
@@ -485,6 +490,9 @@ func (tx *Tx) Update(t *Table, r *Record, newPayload []byte) error {
 	}
 	if tx.e.cfg.Log.Failed() {
 		return ErrDegraded
+	}
+	if len(newPayload) > storage.MaxPayload {
+		return storage.ErrPayloadTooLarge
 	}
 	oldKeys, err := tx.lockRecordX(t, r)
 	if err != nil {

@@ -188,22 +188,27 @@ func TestRowExistsErrorText(t *testing.T) {
 
 // TestRowsFitInlinePayload: every TATP row, and the Section 5 workloads'
 // 24-byte row, fits an MV version's inline payload buffer, so loading or
-// updating one allocates no payload beside its version (docs/perf.md, "The
-// version layout").
+// updating one allocates no payload beside its version; and the rows of
+// the three two-index tables other than SUBSCRIBER fit the 64-byte
+// two-index version (docs/perf.md, "The version layout").
 func TestRowsFitInlinePayload(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, r := range []struct {
 		table string
 		row   []byte
+		small bool // fits storage.SmallPayload2
 	}{
-		{"SUBSCRIBER", subscriberRow(1, rng)},
-		{"ACCESS_INFO", accessInfoRow(1, 1, rng)},
-		{"SPECIAL_FACILITY", specialFacRow(1, 1, rng)},
-		{"CALL_FORWARDING", callFwdRow(1, 1, 0, rng)},
-		{"workload.RowSize", make([]byte, workload.RowSize)},
+		{"SUBSCRIBER", subscriberRow(1, rng), false},
+		{"ACCESS_INFO", accessInfoRow(1, 1, rng), true},
+		{"SPECIAL_FACILITY", specialFacRow(1, 1, rng), true},
+		{"CALL_FORWARDING", callFwdRow(1, 1, 0, rng), true},
+		{"workload.RowSize", make([]byte, workload.RowSize), false},
 	} {
 		if len(r.row) > storage.InlinePayload {
 			t.Errorf("%s row is %d bytes, above storage.InlinePayload (%d)", r.table, len(r.row), storage.InlinePayload)
+		}
+		if r.small && len(r.row) > storage.SmallPayload2 {
+			t.Errorf("%s row is %d bytes, above storage.SmallPayload2 (%d)", r.table, len(r.row), storage.SmallPayload2)
 		}
 	}
 }
